@@ -20,7 +20,8 @@ import (
 // profile × worker-count cell it boots a dynamic graph from the counted
 // CSR, then drives a deterministic stream of edge-mutation batches
 // through the durable write path — WAL append under the configured
-// fsync policy, then the batched incremental repair — and reports
+// fsync policy, the batched incremental repair, then the CSR snapshot
+// the daemon installs as the next epoch — and reports
 // updates/sec alongside ns/op. The op stream is seeded per profile, so
 // every worker count and rep of a profile ingests the identical batch
 // sequence and "best of reps" compares like with like.
@@ -105,7 +106,8 @@ func runIngest(ctx context.Context, cfg appConfig, out *errWriter, manifest cnco
 
 // ingestOnce replays one full op stream through a fresh dynamic graph
 // and a fresh WAL, returning the wall time of the durable apply loop
-// (WAL append + batched repair; setup and teardown excluded).
+// (WAL append + batched repair + the snapshot cncd would serve; setup and
+// teardown excluded).
 func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.SyncPolicy, workers int) (time.Duration, error) {
 	dyn, err := dynamic.FromCSR(rg, counts)
 	if err != nil {
@@ -128,6 +130,9 @@ func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.
 			return 0, err
 		}
 		if _, err := dyn.ApplyBatch(toDynamicOps(ops), workers); err != nil {
+			return 0, err
+		}
+		if _, _, err := dyn.ToCSR(); err != nil {
 			return 0, err
 		}
 	}

@@ -117,7 +117,7 @@ func main() {
 	flag.IntVar(&cfg.cacheSize, "cache", serve.DefaultCacheEntries, "result cache capacity in entries (-1 disables)")
 	flag.DurationVar(&cfg.deadline, "deadline", serve.DefaultRequestTimeout, "default per-request deadline (clients may override with timeout_ms)")
 	flag.DurationVar(&cfg.drainNotice, "drainnotice", 0, "after SIGTERM, keep serving this long with /healthz at 503 so load balancers observe unreadiness before the listener stops accepting")
-	flag.DurationVar(&cfg.drainGrace, "draingrace", 5*time.Second, "how long in-flight requests get to finish after SIGTERM")
+	flag.DurationVar(&cfg.drainGrace, "draingrace", 5*time.Second, "how long in-flight requests get to finish after SIGTERM; half of it also bounds the wait for a connection's first request header")
 	flag.IntVar(&cfg.threads, "threads", 0, "worker count for /v1/count recounts (0 = all cores)")
 	flag.StringVar(&cfg.logFormat, "logfmt", "text", "log output format: "+logx.Formats)
 	flag.IntVar(&cfg.capture, "capture", serve.DefaultCaptureSlowest, "requests retained by /debug/requests (slowest N plus recent errors; -1 disables capture)")
@@ -259,7 +259,12 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", cfg.listen, err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	// Shutdown treats a connection that has not sent its first request as
+	// active until it is 5 s old, so a client's spare pooled connection
+	// would hold the drain past a shorter grace. Half the grace bounds the
+	// wait for a first request header, which closes such connections in
+	// time.
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: cfg.drainGrace / 2}
 
 	// The optional ops-only listener serves just the plane; both the
 	// drain path and the deferred cleanup close it, which Plane.Close is
@@ -385,7 +390,7 @@ func setupIngest(cfg appConfig, g *cncount.Graph, name string, srv *serve.Server
 		if info.Batches > 0 {
 			csr, _, err := dyn.ToCSR()
 			if err != nil {
-				return nil, fmt.Errorf("rebuilding the replayed graph: %w", err)
+				return nil, fmt.Errorf("snapshotting the replayed graph: %w", err)
 			}
 			srv.SwapGraph(csr, name)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -233,6 +234,47 @@ func TestDaemonSIGTERMDrainE2E(t *testing.T) {
 
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("SIGTERM drain exited non-zero: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "drained, exiting") {
+		t.Errorf("no drain completion log:\n%s", out.String())
+	}
+}
+
+// TestDaemonDrainWithIdleConnE2E pins the drain against a connection that
+// was opened but never sent a request, as an HTTP client's spare pooled
+// connection is. Shutdown counts such a connection as active until it is
+// 5 s old, so without a bound on the wait for its first request it held
+// the drain past a shorter grace and the daemon exited non-zero.
+func TestDaemonDrainWithIdleConnE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and signals the real binary")
+	}
+	bin := buildDaemon(t)
+	cmd := exec.Command(bin,
+		"-profile", "WI", "-scale", "0.05", "-listen", "127.0.0.1:0",
+		"-draingrace", "2s", "-threads", "1")
+	var out syncBuffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	addr := waitAddr(t, &out, 20*time.Second)
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// A served request proves the daemon has accepted connections by now.
+	if status, _, _ := get(t, "http://"+addr+"/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz = %d", status)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("drain with an idle connection exited non-zero: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "drained, exiting") {
 		t.Errorf("no drain completion log:\n%s", out.String())

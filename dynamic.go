@@ -16,7 +16,7 @@ func NewDynamicGraph(n int) *DynamicGraph { return dynamic.New(n) }
 
 // DynamicFromGraph seeds a DynamicGraph from a static graph and its count
 // array (as produced by Count), so a batch computation can be continued
-// incrementally.
+// incrementally. Neither is copied, so neither may be modified afterwards.
 func DynamicFromGraph(g *Graph, counts []uint32) (*DynamicGraph, error) {
 	return dynamic.FromCSR(g, counts)
 }

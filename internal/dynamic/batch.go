@@ -36,6 +36,15 @@ type Op struct {
 	U, V graph.VertexID
 }
 
+type edgeKey struct{ u, v graph.VertexID } // u < v
+
+func key(u, v graph.VertexID) edgeKey {
+	if u > v {
+		u, v = v, u
+	}
+	return edgeKey{u, v}
+}
+
 // BadOpError reports a structurally invalid op — an out-of-range vertex
 // id, a self-loop, an unknown kind — with its batch index. The serving
 // layer maps it to a 409 so a hostile or buggy client can never reach
@@ -166,18 +175,14 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 		}
 	}
 
-	// Mutate adjacency. Inserted pairs get a placeholder count entry
-	// immediately so HasEdge sees the final edge set during the
-	// affected scan; the repair pass overwrites the placeholder.
+	// Mutate adjacency. Inserted pairs get a placeholder count of 0 so
+	// HasEdge sees the final edge set during the affected scan; the
+	// repair pass overwrites the placeholder.
 	for _, tg := range toggles {
 		if tg.insert {
-			d.adj[tg.u] = insertSorted(d.adj[tg.u], tg.v)
-			d.adj[tg.v] = insertSorted(d.adj[tg.v], tg.u)
-			d.counts[key(tg.u, tg.v)] = 0
+			d.link(tg.u, tg.v)
 		} else {
-			d.adj[tg.u] = removeSorted(d.adj[tg.u], tg.v)
-			d.adj[tg.v] = removeSorted(d.adj[tg.v], tg.u)
-			delete(d.counts, key(tg.u, tg.v))
+			d.unlink(tg.u, tg.v)
 		}
 	}
 
@@ -217,7 +222,7 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 	repair := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			k := keys[i]
-			vals[i] = d.countCommon(d.adj[k.u], d.adj[k.v])
+			vals[i] = intersect.MPS(d.adj[k.u], d.adj[k.v], d.skewThreshold, d.lanes)
 		}
 	}
 	workers = sched.Workers(workers)
@@ -231,49 +236,7 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 		}
 	}
 	for i, k := range keys {
-		d.counts[k] = vals[i]
+		d.setCount(k.u, k.v, vals[i])
 	}
 	return res, nil
-}
-
-// countCommon is the count-only sibling of commonNeighbors: the same
-// skew-aware kernel choice (gallop when one list dwarfs the other,
-// merge otherwise) without materializing the intersection.
-func (d *Graph) countCommon(a, b []graph.VertexID) uint32 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var c uint32
-	if intersect.Skewed(len(a), len(b), d.skewThreshold) {
-		long, short := a, b
-		if len(long) < len(short) {
-			long, short = short, long
-		}
-		off := 0
-		for _, x := range short {
-			off += intersect.LowerBound(long[off:], x)
-			if off >= len(long) {
-				break
-			}
-			if long[off] == x {
-				c++
-				off++
-			}
-		}
-		return c
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
 }

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cncount/internal/graph"
@@ -38,14 +39,16 @@ func seedGraph(t *testing.T, rng *rand.Rand, v, m int) *Graph {
 	return d
 }
 
-// cloneGraph deep-copies a dynamic graph.
+// cloneGraph copies a dynamic graph. The copy shares d's snapshot arrays,
+// which neither graph ever writes.
 func cloneGraph(d *Graph) *Graph {
-	c := New(len(d.adj))
-	for u := range d.adj {
-		c.adj[u] = append([]graph.VertexID(nil), d.adj[u]...)
+	g, counts, err := d.ToCSR()
+	if err != nil {
+		panic(err)
 	}
-	for k, v := range d.counts {
-		c.counts[k] = v
+	c, err := FromCSR(g, counts)
+	if err != nil {
+		panic(err)
 	}
 	return c
 }
@@ -54,52 +57,56 @@ func cloneGraph(d *Graph) *Graph {
 // counts (byte-identical count values, not just triangle totals).
 func requireSameState(t *testing.T, a, b *Graph) {
 	t.Helper()
-	if a.NumEdges() != b.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
-	}
-	for k, av := range a.counts {
-		bv, ok := b.counts[k]
-		if !ok {
-			t.Fatalf("edge (%d,%d) missing from b", k.u, k.v)
-		}
-		if av != bv {
-			t.Fatalf("count (%d,%d): %d vs %d", k.u, k.v, av, bv)
-		}
+	if a.NumEdges() != b.NumEdges() || a.Triangles() != b.Triangles() {
+		t.Fatalf("totals differ: %d/%d edges, %d/%d triangles",
+			a.NumEdges(), b.NumEdges(), a.Triangles(), b.Triangles())
 	}
 	for u := range a.adj {
-		if len(a.adj[u]) != len(b.adj[u]) {
-			t.Fatalf("adjacency of %d differs", u)
+		if !slices.Equal(a.adj[u], b.adj[u]) {
+			t.Fatalf("adjacency of %d differs: %v vs %v", u, a.adj[u], b.adj[u])
 		}
-		for i := range a.adj[u] {
-			if a.adj[u][i] != b.adj[u][i] {
-				t.Fatalf("adjacency of %d differs at %d", u, i)
-			}
+		if !slices.Equal(a.cnt[u], b.cnt[u]) {
+			t.Fatalf("counts of %d differ: %v vs %v", u, a.cnt[u], b.cnt[u])
 		}
 	}
 }
 
-// requireCountsExact fails unless every stored count equals a brute-force
-// recount of its edge's intersection on the current adjacency.
+// requireCountsExact fails unless every stored count, in both directions,
+// equals a brute-force recount of its edge's intersection on the current
+// adjacency, and the running totals equal the stored rows' totals.
 func requireCountsExact(t *testing.T, d *Graph) {
 	t.Helper()
-	for k, c := range d.counts {
-		var want uint32
-		a, b := d.adj[k.u], d.adj[k.v]
-		for i, j := 0, 0; i < len(a) && j < len(b); {
-			switch {
-			case a[i] < b[j]:
-				i++
-			case a[i] > b[j]:
-				j++
-			default:
-				want++
-				i++
-				j++
+	var directed int
+	var sum uint64
+	for u, row := range d.adj {
+		if len(d.cnt[u]) != len(row) {
+			t.Fatalf("row %d: %d counts for %d neighbors", u, len(d.cnt[u]), len(row))
+		}
+		for i, v := range row {
+			var want uint32
+			a, b := row, d.adj[v]
+			for p, q := 0, 0; p < len(a) && q < len(b); {
+				switch {
+				case a[p] < b[q]:
+					p++
+				case a[p] > b[q]:
+					q++
+				default:
+					want++
+					p++
+					q++
+				}
 			}
+			if c := d.cnt[u][i]; c != want {
+				t.Fatalf("count (%d,%d) = %d, recount = %d", u, v, c, want)
+			}
+			directed++
+			sum += uint64(want)
 		}
-		if c != want {
-			t.Fatalf("count (%d,%d) = %d, recount = %d", k.u, k.v, c, want)
-		}
+	}
+	if d.NumEdges()*2 != directed || d.Triangles() != sum/6 {
+		t.Fatalf("running totals %d edges, %d triangles; rows hold %d edges, %d triangles",
+			d.NumEdges(), d.Triangles(), directed/2, sum/6)
 	}
 }
 

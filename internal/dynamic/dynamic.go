@@ -13,239 +13,252 @@
 //     one (w's neighborhood now contains one more of their neighbors);
 //  3. no other edge is affected.
 //
-// Deletion is the exact inverse. Both cost one set intersection plus
-// O(|N(u) ∩ N(v)|) count updates — the same primitive the batch algorithms
-// optimize, so the MPS machinery (pivot-skip for skewed pairs) is reused
-// per update.
+// Deletion is the exact inverse. InsertEdge and DeleteEdge apply this rule
+// directly, at one walk of the shorter endpoint list plus
+// O(|N(u) ∩ N(v)|) count updates. ApplyBatch instead recomputes every
+// affected edge's count with the MPS kernel (pivot-skip for skewed pairs)
+// in one parallel pass — the same primitive the batch algorithms optimize.
+//
+// The graph keeps the last CSR snapshot it handed out and splices the next
+// one from it: rows untouched since then are bulk-copied, so a snapshot
+// costs one pass of memory copies rather than a rebuild from an edge list.
 package dynamic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
 )
 
 // Graph is a mutable undirected graph with per-edge common neighbor counts
-// maintained across updates. Adjacency lists are kept sorted; counts are
-// stored per (min,max) vertex pair.
+// maintained across updates. Row u holds the sorted adjacency adj[u] and
+// the aligned counts cnt[u]; both directions of every edge are stored, as
+// in the CSR.
+//
+// Clean rows alias the last snapshot (the one FromCSR was given or ToCSR
+// returned). Snapshot arrays are shared with their readers and never
+// written: a row is copied on its first write and marked dirty, and the
+// next ToCSR splices the dirty rows in.
 //
 // Graph is not safe for concurrent mutation.
 type Graph struct {
-	adj    [][]graph.VertexID
-	counts map[edgeKey]uint32
+	adj     [][]graph.VertexID
+	cnt     [][]uint32
+	dirty   []bool
+	snap    *graph.CSR
+	snapCnt []uint32
+	// edges and sum are the running undirected edge count and count sum.
+	edges int
+	sum   uint64
 	// skewThreshold and lanes configure the per-update intersection kernel.
 	skewThreshold float64
 	lanes         int
 }
 
-type edgeKey struct{ u, v graph.VertexID } // u < v
-
-func key(u, v graph.VertexID) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
 // New returns an empty dynamic graph over n vertices.
 func New(n int) *Graph {
-	return &Graph{
-		adj:           make([][]graph.VertexID, n),
-		counts:        make(map[edgeKey]uint32),
-		skewThreshold: intersect.DefaultSkewThreshold,
-		lanes:         intersect.LanesAVX2,
-	}
+	d, _ := FromCSR(&graph.CSR{Off: make([]int64, n+1)}, nil)
+	return d
 }
 
-// FromCSR builds a dynamic graph from a static one, computing all counts
-// with the batch kernel.
+// FromCSR builds a dynamic graph from a static one and its per-edge counts.
+// It copies neither: g and counts become the first snapshot and must not be
+// modified afterwards.
 func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 	if int64(len(counts)) != g.NumEdges() {
 		return nil, fmt.Errorf("dynamic: %d counts for %d edges", len(counts), g.NumEdges())
 	}
-	d := New(g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
-		nu := g.Neighbors(graph.VertexID(u))
-		d.adj[u] = append([]graph.VertexID(nil), nu...)
-		for i, v := range nu {
-			if graph.VertexID(u) < v {
-				d.counts[key(graph.VertexID(u), v)] = counts[g.Off[u]+int64(i)]
-			}
-		}
+	n := g.NumVertices()
+	d := &Graph{
+		adj:           make([][]graph.VertexID, n),
+		cnt:           make([][]uint32, n),
+		dirty:         make([]bool, n),
+		edges:         int(g.NumEdges() / 2),
+		skewThreshold: intersect.DefaultSkewThreshold,
+		lanes:         intersect.LanesAVX2,
 	}
+	for _, c := range counts {
+		d.sum += uint64(c)
+	}
+	d.sum /= 2
+	d.adopt(g, counts)
 	return d, nil
+}
+
+// adopt makes (g, counts) the current snapshot and points every row at it.
+// The full slice expressions cap each row at its end, so even an append
+// could not write into the snapshot.
+func (d *Graph) adopt(g *graph.CSR, counts []uint32) {
+	d.snap, d.snapCnt = g, counts
+	for u := range d.adj {
+		lo, hi := g.Off[u], g.Off[u+1]
+		d.adj[u], d.cnt[u] = g.Dst[lo:hi:hi], counts[lo:hi:hi]
+	}
 }
 
 // NumVertices returns |V|.
 func (d *Graph) NumVertices() int { return len(d.adj) }
 
 // NumEdges returns the undirected edge count.
-func (d *Graph) NumEdges() int { return len(d.counts) }
+func (d *Graph) NumEdges() int { return d.edges }
 
 // Neighbors returns the sorted neighbor list of u (aliased; do not modify).
 func (d *Graph) Neighbors(u graph.VertexID) []graph.VertexID { return d.adj[u] }
 
 // HasEdge reports whether (u,v) is an edge.
 func (d *Graph) HasEdge(u, v graph.VertexID) bool {
-	if int(u) >= len(d.adj) || int(v) >= len(d.adj) {
-		return false
-	}
-	_, ok := d.counts[key(u, v)]
+	_, ok := d.Count(u, v)
 	return ok
 }
 
 // Count returns the common neighbor count of edge (u,v); ok is false when
 // (u,v) is not an edge.
 func (d *Graph) Count(u, v graph.VertexID) (count uint32, ok bool) {
-	c, ok := d.counts[key(u, v)]
-	return c, ok
-}
-
-// checkVertices validates endpoint IDs and rejects self-loops.
-func (d *Graph) checkVertices(u, v graph.VertexID) error {
 	if int(u) >= len(d.adj) || int(v) >= len(d.adj) {
-		return fmt.Errorf("dynamic: edge (%d,%d) out of range |V|=%d", u, v, len(d.adj))
+		return 0, false
 	}
-	if u == v {
-		return fmt.Errorf("dynamic: self-loop (%d,%d)", u, v)
+	i, ok := slices.BinarySearch(d.adj[u], v)
+	if !ok {
+		return 0, false
 	}
-	return nil
+	return d.cnt[u][i], true
 }
 
 // InsertEdge adds the undirected edge (u,v) and repairs all affected
 // counts. Inserting an existing edge is a no-op.
 func (d *Graph) InsertEdge(u, v graph.VertexID) error {
-	if err := d.checkVertices(u, v); err != nil {
+	if err := ValidateOps(len(d.adj), []Op{{Kind: OpInsert, U: u, V: v}}); err != nil {
 		return err
 	}
-	if d.HasEdge(u, v) {
-		return nil
+	if !d.HasEdge(u, v) {
+		d.link(u, v)
+		d.bump(u, v, 1)
 	}
-	// Common neighbors BEFORE linking: these w gain a new common neighbor
-	// with both endpoints, and they define the new edge's own count.
-	common := d.commonNeighbors(u, v)
-	for _, w := range common {
-		d.counts[key(u, w)]++
-		d.counts[key(v, w)]++
-	}
-	d.counts[key(u, v)] = uint32(len(common))
-	d.adj[u] = insertSorted(d.adj[u], v)
-	d.adj[v] = insertSorted(d.adj[v], u)
 	return nil
 }
 
 // DeleteEdge removes the undirected edge (u,v) and repairs all affected
 // counts. Deleting a nonexistent edge is a no-op.
 func (d *Graph) DeleteEdge(u, v graph.VertexID) error {
-	if err := d.checkVertices(u, v); err != nil {
+	if err := ValidateOps(len(d.adj), []Op{{Kind: OpDelete, U: u, V: v}}); err != nil {
 		return err
 	}
-	if !d.HasEdge(u, v) {
-		return nil
+	if d.HasEdge(u, v) {
+		d.unlink(u, v)
+		d.bump(u, v, ^uint32(0))
 	}
-	d.adj[u] = removeSorted(d.adj[u], v)
-	d.adj[v] = removeSorted(d.adj[v], u)
-	// Common neighbors AFTER unlinking (identical to before: u∉N(u),
-	// v∉N(v), so the removed edge never contributed to this set).
-	for _, w := range d.commonNeighbors(u, v) {
-		d.counts[key(u, w)]--
-		d.counts[key(v, w)]--
-	}
-	delete(d.counts, key(u, v))
 	return nil
 }
 
-// commonNeighbors materializes N(u) ∩ N(v) using the skew-aware kernel
-// choice of MPS: galloping when one list dwarfs the other, merging
-// otherwise.
-func (d *Graph) commonNeighbors(u, v graph.VertexID) []graph.VertexID {
-	a, b := d.adj[u], d.adj[v]
-	if len(a) == 0 || len(b) == 0 {
-		return nil
+// bump applies the update rule for a toggled pair (u,v): it adds delta
+// (modulo 2³², so ^0 subtracts one) to cnt(u,w) and cnt(v,w) for every
+// common neighbor w, and sets cnt(u,v) when the edge is present. The
+// shorter list is walked and each element looked up in the longer, so a
+// hub endpoint costs a binary search per neighbor of the other endpoint.
+func (d *Graph) bump(u, v graph.VertexID, delta uint32) {
+	if len(d.adj[u]) > len(d.adj[v]) {
+		u, v = v, u
 	}
-	var out []graph.VertexID
-	if intersect.Skewed(len(a), len(b), d.skewThreshold) {
-		// Pivot-skip enumeration: iterate the short list, gallop the long.
-		long, short := a, b
-		if len(long) < len(short) {
-			long, short = short, long
-		}
-		off := 0
-		for _, x := range short {
-			off += intersect.LowerBound(long[off:], x)
-			if off >= len(long) {
-				break
-			}
-			if long[off] == x {
-				out = append(out, x)
-				off++
+	var common uint32
+	for _, w := range d.adj[u] {
+		if d.HasEdge(v, w) {
+			common++
+			for _, x := range [2]graph.VertexID{u, v} {
+				c, _ := d.Count(x, w)
+				d.setCount(x, w, c+delta)
 			}
 		}
-		return out
 	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
+	if d.HasEdge(u, v) {
+		d.setCount(u, v, common)
 	}
-	return out
+}
+
+// own makes row u private before its first write since the last snapshot.
+func (d *Graph) own(u graph.VertexID) {
+	if !d.dirty[u] {
+		d.dirty[u] = true
+		d.adj[u], d.cnt[u] = slices.Clone(d.adj[u]), slices.Clone(d.cnt[u])
+	}
+}
+
+// setCount writes c as the count of edge (a,b) in both directed rows. A
+// count that does not change leaves both rows clean.
+func (d *Graph) setCount(a, b graph.VertexID, c uint32) {
+	i, _ := slices.BinarySearch(d.adj[a], b)
+	j, _ := slices.BinarySearch(d.adj[b], a)
+	if old := d.cnt[a][i]; old != c {
+		d.sum += uint64(c) - uint64(old)
+		d.own(a)
+		d.own(b)
+		d.cnt[a][i], d.cnt[b][j] = c, c
+	}
+}
+
+// link adds the absent edge (u,v) with count 0 to both directed rows.
+func (d *Graph) link(u, v graph.VertexID) {
+	for _, e := range [2][2]graph.VertexID{{u, v}, {v, u}} {
+		a, b := e[0], e[1]
+		d.own(a)
+		i, _ := slices.BinarySearch(d.adj[a], b)
+		d.adj[a] = slices.Insert(d.adj[a], i, b)
+		d.cnt[a] = slices.Insert(d.cnt[a], i, 0)
+	}
+	d.edges++
+}
+
+// unlink removes the present edge (u,v) from both directed rows.
+func (d *Graph) unlink(u, v graph.VertexID) {
+	c, _ := d.Count(u, v)
+	for _, e := range [2][2]graph.VertexID{{u, v}, {v, u}} {
+		a, b := e[0], e[1]
+		d.own(a)
+		i, _ := slices.BinarySearch(d.adj[a], b)
+		d.adj[a] = slices.Delete(d.adj[a], i, i+1)
+		d.cnt[a] = slices.Delete(d.cnt[a], i, i+1)
+	}
+	d.edges--
+	d.sum -= uint64(c)
 }
 
 // ToCSR freezes the dynamic graph into a static CSR plus a count array
-// indexed by its edge offsets.
+// indexed by its edge offsets. The result is spliced from the previous
+// snapshot: each run of clean rows is one bulk copy, each dirty row is
+// copied from the working adjacency. With nothing dirty it returns the
+// previous snapshot itself. Returned arrays are never written again, so
+// readers may keep them across later updates.
 func (d *Graph) ToCSR() (*graph.CSR, []uint32, error) {
-	var edges []graph.Edge
-	for k := range d.counts {
-		edges = append(edges, graph.Edge{U: k.u, V: k.v})
+	if !slices.Contains(d.dirty, true) {
+		return d.snap, d.snapCnt, nil
 	}
-	g, err := graph.FromEdges(len(d.adj), edges)
-	if err != nil {
-		return nil, nil, err
+	n, prev := len(d.adj), d.snap
+	off := make([]int64, n+1)
+	for u, row := range d.adj {
+		off[u+1] = off[u] + int64(len(row))
 	}
-	counts := make([]uint32, g.NumEdges())
-	for u := 0; u < g.NumVertices(); u++ {
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			counts[e] = d.counts[key(graph.VertexID(u), g.Dst[e])]
+	dst, cnt := make([]graph.VertexID, off[n]), make([]uint32, off[n])
+	for u := 0; u < n; {
+		if d.dirty[u] {
+			copy(dst[off[u]:], d.adj[u])
+			copy(cnt[off[u]:], d.cnt[u])
+			d.dirty[u] = false
+			u++
+			continue
 		}
+		w := u + 1
+		for w < n && !d.dirty[w] {
+			w++
+		}
+		copy(dst[off[u]:off[w]], prev.Dst[prev.Off[u]:prev.Off[w]])
+		copy(cnt[off[u]:off[w]], d.snapCnt[prev.Off[u]:prev.Off[w]])
+		u = w
 	}
-	return g, counts, nil
+	d.adopt(&graph.CSR{Off: off, Dst: dst}, cnt)
+	return d.snap, cnt, nil
 }
 
-// Triangles returns Σcnt/6 over the current edge set, doubling each stored
-// (u<v) count to cover both directions.
-func (d *Graph) Triangles() uint64 {
-	var sum uint64
-	for _, c := range d.counts {
-		sum += 2 * uint64(c)
-	}
-	return sum / 6
-}
-
-func insertSorted(a []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i < len(a) && a[i] == v {
-		return a
-	}
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = v
-	return a
-}
-
-func removeSorted(a []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	if i == len(a) || a[i] != v {
-		return a
-	}
-	return append(a[:i], a[i+1:]...)
-}
+// Triangles returns the triangle count: each triangle adds one to the
+// count of each of its three edges.
+func (d *Graph) Triangles() uint64 { return d.sum / 3 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,8 +189,8 @@ func TestPropertyRandomUpdateStream(t *testing.T) {
 }
 
 func TestSkewedUpdatePath(t *testing.T) {
-	// A hub with a long adjacency list forces the pivot-skip enumeration
-	// path inside commonNeighbors.
+	// A hub with a long adjacency list: each insert walks the short
+	// endpoint's row and looks its entries up in the hub's.
 	n := 3000
 	d := New(n)
 	for v := 1; v < n; v++ {
@@ -238,8 +239,8 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestCommonNeighborsSkewBranches(t *testing.T) {
-	// Force both orders of the skewed enumeration: long-short and
-	// short-long, plus the match-at-end and early-break paths.
+	// Force both argument orders of a skewed pair, long-short and
+	// short-long, with common neighbors at both ends of the short row.
 	n := 2000
 	d := New(n)
 	// Vertex 0: hub over evens; vertex 1: small odd set plus some evens.
@@ -268,23 +269,31 @@ func TestCommonNeighborsSkewBranches(t *testing.T) {
 	checkAgainstBatch(t, d)
 }
 
+// TestInsertRemoveSortedHelpers pins the row helpers: link and unlink keep
+// each adjacency row sorted with its counts aligned, in both directions.
 func TestInsertRemoveSortedHelpers(t *testing.T) {
-	a := []graph.VertexID{}
-	for _, v := range []graph.VertexID{5, 1, 3, 3, 2} {
-		a = insertSorted(a, v)
+	d := New(6)
+	for i, v := range []graph.VertexID{5, 1, 3, 2} {
+		d.link(0, v)
+		d.setCount(0, v, uint32(10+i))
 	}
-	want := []graph.VertexID{1, 2, 3, 5}
-	if len(a) != len(want) {
-		t.Fatalf("a = %v", a)
+	if want := []graph.VertexID{1, 2, 3, 5}; !slices.Equal(d.adj[0], want) {
+		t.Fatalf("adj[0] = %v, want %v", d.adj[0], want)
 	}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("a = %v, want %v", a, want)
-		}
+	if want := []uint32{11, 13, 12, 10}; !slices.Equal(d.cnt[0], want) {
+		t.Fatalf("cnt[0] = %v, want %v", d.cnt[0], want)
 	}
-	a = removeSorted(a, 3)
-	a = removeSorted(a, 99) // absent: no-op
-	if len(a) != 3 || a[0] != 1 || a[1] != 2 || a[2] != 5 {
-		t.Fatalf("after remove: %v", a)
+	if c, ok := d.Count(3, 0); !ok || c != 12 {
+		t.Fatalf("reverse count (3,0) = %d,%v, want 12", c, ok)
+	}
+	d.unlink(3, 0)
+	if want := []graph.VertexID{1, 2, 5}; !slices.Equal(d.adj[0], want) || len(d.adj[3]) != 0 {
+		t.Fatalf("after unlink: adj[0] = %v, adj[3] = %v", d.adj[0], d.adj[3])
+	}
+	if want := []uint32{11, 13, 10}; !slices.Equal(d.cnt[0], want) {
+		t.Fatalf("after unlink: cnt[0] = %v, want %v", d.cnt[0], want)
+	}
+	if d.NumEdges() != 3 || d.sum != 11+13+10 {
+		t.Fatalf("running totals: %d edges, sum %d", d.NumEdges(), d.sum)
 	}
 }

@@ -33,7 +33,7 @@ type IngestOptions struct {
 
 // Ingester is the serialized write path: one batch at a time runs
 // validate → WAL append (the commit point) → in-memory batch apply →
-// CSR rebuild → epoch swap, all under one lock, so the WAL order, the
+// CSR snapshot splice → epoch swap, all under one lock, so the WAL order, the
 // in-memory state, and the epoch sequence can never disagree. Reads
 // are never blocked: queries keep serving the last installed epoch
 // while a batch is in flight.
@@ -137,7 +137,7 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 	if err != nil {
 		in.broken = err
 		in.opts.Metrics.Add("ingest.broken", 1)
-		return IngestResult{}, fmt.Errorf("%w: rebuild after commit: %v", ErrIngestBroken, err)
+		return IngestResult{}, fmt.Errorf("%w: snapshot after commit: %v", ErrIngestBroken, err)
 	}
 	epoch := in.srv.SwapGraph(csr, in.opts.Name)
 
@@ -167,7 +167,9 @@ type IngestInfo struct {
 	Broken    bool   `json:"broken"`
 }
 
-// Info snapshots the ingester under the write lock.
+// Info snapshots the ingester under the write lock; every field,
+// the triangle total included, is a running value, so the lock is held
+// for O(1).
 func (in *Ingester) Info() IngestInfo {
 	in.sem <- struct{}{}
 	defer func() { <-in.sem }()
