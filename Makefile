@@ -2,10 +2,10 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check benchmodule benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke fuzz bench benchdiff benchreport microbench experiments examples clean
+.PHONY: all build vet fmt test race check benchmodule benchsmoke calibratesmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke fuzz bench benchdiff benchreport microbench experiments examples clean
 
-# The default verify path is `make check`: build + vet + tests + the race
-# detector on the small-graph packages.
+# The default verify path is `make check`: build + vet + gofmt + tests +
+# the race detector on the small-graph packages.
 all: check
 
 build:
@@ -14,6 +14,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file, bench/ included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -43,13 +47,6 @@ benchsmoke:
 # the measured table and verify against the sequential reference.
 calibratesmoke:
 	$(GO) run ./cmd/cnc -calibrate -profile WI -scale 0.05 -algo adaptive -verify > /dev/null
-
-# End-to-end smoke of the observability plane: build cnc, run a tiny
-# profile with -http on an ephemeral port, scrape /healthz, /metrics,
-# /progress, /timeseries.json and /dashboard, and validate the
-# responses (see scripts/obssmoke.sh).
-obssmoke:
-	sh scripts/obssmoke.sh
 
 # Trend/attribution report over the committed benchmark history: proves
 # benchreport reads every committed BENCH_*.json (schema drift in either
@@ -89,7 +86,7 @@ reqsmoke:
 walsmoke:
 	sh scripts/walsmoke.sh
 
-check: build test race benchmodule benchsmoke calibratesmoke obssmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke
+check: build fmt test race benchmodule benchsmoke calibratesmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

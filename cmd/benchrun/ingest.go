@@ -12,7 +12,6 @@ import (
 	"cncount"
 	"cncount/internal/benchfmt"
 	"cncount/internal/dynamic"
-	"cncount/internal/graph"
 	"cncount/internal/wal"
 )
 
@@ -129,7 +128,7 @@ func ingestOnce(rg *cncount.Graph, counts []uint32, stream [][]wal.Op, sync wal.
 		if _, err := log.Append(ops); err != nil {
 			return 0, err
 		}
-		if _, err := dyn.ApplyBatch(toDynamicOps(ops), workers); err != nil {
+		if _, err := dyn.ApplyBatch(ops, workers); err != nil {
 			return 0, err
 		}
 		if _, _, err := dyn.ToCSR(); err != nil {
@@ -166,15 +165,6 @@ func ingestStream(seed int64, numVertices, batches, batchOps int) [][]wal.Op {
 			ops[i] = wal.Op{Kind: wal.OpInsert, U: u, V: v}
 		}
 		out[b] = ops
-	}
-	return out
-}
-
-// toDynamicOps converts a WAL batch to the dynamic graph's op type.
-func toDynamicOps(ops []wal.Op) []dynamic.Op {
-	out := make([]dynamic.Op, len(ops))
-	for i, op := range ops {
-		out[i] = dynamic.Op{Kind: dynamic.OpKind(op.Kind), U: graph.VertexID(op.U), V: graph.VertexID(op.V)}
 	}
 	return out
 }

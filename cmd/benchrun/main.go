@@ -200,16 +200,9 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 	var live *liveObs
 	if cfg.httpAddr != "" {
 		live = &liveObs{prog: cncount.NewProgress()}
-		// The flight recorder spans every matrix cell: /timeseries.json and
-		// /dashboard show the whole run's series, with region turnover at
-		// each cell boundary.
-		rec := obs.NewRecorder(obs.RecorderOptions{Progress: live.prog})
-		rec.Start()
-		defer rec.Stop()
 		plane := obs.New(obs.Options{
 			Snapshot: live.snapshot,
 			Progress: live.prog,
-			Recorder: rec,
 			Manifest: &manifest,
 			Logf:     logx.Printf(logger),
 		})

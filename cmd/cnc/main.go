@@ -12,9 +12,8 @@
 //
 // With -http, cnc mounts the observability plane (internal/obs) for the
 // lifetime of the run: /metrics (Prometheus text exposition), /progress
-// (percent complete, units/sec, ETA, per-worker stall flags), /healthz,
-// /trace.json (live timeline snapshot when -trace is also set),
-// /timeseries.json (the flight recorder's runtime and per-worker series),
+// (percent complete, units/sec, ETA, per-worker stall flags and tallies),
+// /healthz, /trace.json (live timeline snapshot when -trace is also set),
 // /dashboard (embedded live HTML view), and /debug/pprof/* — all on a
 // dedicated mux. Log output is structured (log/slog); -logfmt json turns
 // the text stream into machine-tailable JSON records.
@@ -97,7 +96,7 @@ func main() {
 	flag.BoolVar(&cfg.verify, "verify", false, "cross-check against the reference counter (slow)")
 	flag.StringVar(&cfg.metricsOut, "metrics", "", `write a JSON metrics snapshot (phase timings, scheduler tallies) to this file ("-" = stdout)`)
 	flag.StringVar(&cfg.traceOut, "trace", "", "write a Chrome trace-event JSON timeline (open in Perfetto) to this file")
-	flag.StringVar(&cfg.httpAddr, "http", "", "serve the live observability plane (/metrics, /progress, /healthz, /trace.json, /timeseries.json, /dashboard, /debug/pprof/) on this address while running (e.g. localhost:6060)")
+	flag.StringVar(&cfg.httpAddr, "http", "", "serve the live observability plane (/metrics, /progress, /healthz, /trace.json, /dashboard, /debug/pprof/) on this address while running (e.g. localhost:6060)")
 	flag.StringVar(&cfg.logFormat, "logfmt", "text", "log output format: "+logx.Formats)
 	flag.DurationVar(&cfg.httpWait, "httpwait", 0, "keep the -http plane serving this long after the run completes (lets short runs be scraped)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the run after this long (0 = no deadline); a timed-out run flushes its final metrics/trace snapshot and exits non-zero")
@@ -166,15 +165,9 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 	}
 	var plane *obs.Plane
 	if cfg.httpAddr != "" {
-		// The flight recorder samples runtime and per-worker series for
-		// /timeseries.json and /dashboard for the lifetime of the plane.
-		rec := obs.NewRecorder(obs.RecorderOptions{Progress: prog})
-		rec.Start()
-		defer rec.Stop()
 		planeOpts := obs.Options{
 			Snapshot: mc.Snapshot,
 			Progress: prog,
-			Recorder: rec,
 			Manifest: &manifest,
 			Logf:     logx.Printf(logger),
 		}
@@ -196,7 +189,7 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 				logger.Error("observability plane shutdown failed", "err", err)
 			}
 		}()
-		fmt.Fprintf(out, "observability plane listening on http://%s/ (metrics, progress, healthz, trace.json, timeseries.json, dashboard, debug/pprof)\n", addr)
+		fmt.Fprintf(out, "observability plane listening on http://%s/ (metrics, progress, healthz, trace.json, dashboard, debug/pprof)\n", addr)
 		// On cancellation, flip /healthz to "draining" while the final
 		// metrics/progress flush happens; the goroutine exits via the
 		// deferred abort at the latest.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,6 @@ import (
 
 	"cncount"
 	"cncount/internal/logx"
-	"cncount/internal/obs"
 	"cncount/internal/trace"
 )
 
@@ -478,7 +478,15 @@ func TestRunHTTPPlaneServesLive(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", series, metricsBody)
 		}
 	}
+	// Every non-comment line must look like `name{labels} value`.
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^ ]+$`)
+	for _, line := range strings.Split(strings.TrimSuffix(metricsBody, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !sample.MatchString(line) {
+			t.Errorf("/metrics has a malformed exposition line: %q", line)
+		}
+	}
 	var status struct {
+		Active         bool  `json:"active"`
 		TotalUnits     int64 `json:"total_units"`
 		RemainingUnits int64 `json:"remaining_units"`
 		Runs           uint64
@@ -486,19 +494,11 @@ func TestRunHTTPPlaneServesLive(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/progress")), &status); err != nil {
 		t.Fatalf("/progress is not JSON: %v", err)
 	}
-	if status.TotalUnits == 0 || status.RemainingUnits != 0 {
-		t.Errorf("/progress after run = %+v, want done", status)
+	if status.Active || status.TotalUnits == 0 || status.RemainingUnits != 0 {
+		t.Errorf("/progress after run = %+v, want done and inactive", status)
 	}
 	if got := get("/debug/pprof/cmdline"); got == "" {
 		t.Error("/debug/pprof/cmdline empty")
-	}
-	tsBody := get("/timeseries.json")
-	if err := obs.ValidateTimeseries([]byte(tsBody)); err != nil {
-		t.Errorf("/timeseries.json invalid: %v", err)
-	}
-	if !strings.Contains(tsBody, `"schema": "cncount-timeseries/v1"`) &&
-		!strings.Contains(tsBody, `"schema":"cncount-timeseries/v1"`) {
-		t.Errorf("/timeseries.json lacks the schema marker:\n%s", tsBody)
 	}
 	if got := get("/dashboard"); !strings.Contains(got, "cncount dashboard") {
 		t.Error("/dashboard lacks the embedded page")

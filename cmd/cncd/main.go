@@ -373,11 +373,7 @@ func setupIngest(cfg appConfig, g *cncount.Graph, name string, srv *serve.Server
 	var log *wal.Log
 	if cfg.walDir != "" {
 		info, err := wal.Replay(cfg.walDir, func(b wal.Batch) error {
-			ops := make([]dynamic.Op, len(b.Ops))
-			for i, op := range b.Ops {
-				ops[i] = dynamic.Op{Kind: dynamic.OpKind(op.Kind), U: cncount.VertexID(op.U), V: cncount.VertexID(op.V)}
-			}
-			_, err := dyn.ApplyBatch(ops, cfg.threads)
+			_, err := dyn.ApplyBatch(b.Ops, cfg.threads)
 			return err
 		}, progress)
 		if err != nil {
@@ -412,7 +408,6 @@ func setupIngest(cfg appConfig, g *cncount.Graph, name string, srv *serve.Server
 		WAL:     log,
 		Workers: cfg.threads,
 		Name:    name,
-		Metrics: mc,
 	}))
 	return log, nil
 }

@@ -154,9 +154,16 @@ func TestRunInProcessLifecycle(t *testing.T) {
 	if _, hdr, _ := get(t, q); hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("repeat query X-Cache = %q, want HIT", hdr.Get("X-Cache"))
 	}
-	// The hit/miss counters surface on the shared /metrics.
-	if _, _, body := get(t, base+"/metrics"); !strings.Contains(body, `cncount_counter_total{name="serve.cache_hits"}`) {
-		t.Errorf("/metrics lacks serve.cache_hits:\n%.600s", body)
+	// The cache's own hit count is served on /v1/info, and the shared
+	// /metrics carries the hit as the RED histogram's cache label.
+	var info struct {
+		CacheHits uint64 `json:"cache_hits"`
+	}
+	if _, _, body := get(t, base+"/v1/info"); json.Unmarshal([]byte(body), &info) != nil || info.CacheHits == 0 {
+		t.Errorf("/v1/info reports no cache hits:\n%s", body)
+	}
+	if _, _, body := get(t, base+"/metrics"); !strings.Contains(body, `cncd_request_duration_seconds_count{endpoint="edge",status="200",cache="hit"}`) {
+		t.Errorf("/metrics lacks the edge cache-hit RED series:\n%.600s", body)
 	}
 
 	cancel()

@@ -182,11 +182,6 @@ func runExperiments(runCtx context.Context, cfg appConfig, w io.Writer, stdout i
 			ctx.Metrics.SetManifest(manifest)
 			liveMC.Store(ctx.Metrics)
 		}
-		// The flight recorder spans the whole sweep: /timeseries.json and
-		// /dashboard show every experiment's counting region in sequence.
-		rec := obs.NewRecorder(obs.RecorderOptions{Progress: ctx.Progress})
-		rec.Start()
-		defer rec.Stop()
 		plane := obs.New(obs.Options{
 			Snapshot: func() metrics.Snapshot {
 				if mc := liveMC.Load(); mc != nil {
@@ -195,7 +190,6 @@ func runExperiments(runCtx context.Context, cfg appConfig, w io.Writer, stdout i
 				return metrics.Snapshot{}
 			},
 			Progress: ctx.Progress,
-			Recorder: rec,
 			Manifest: &manifest,
 			Logf:     logx.Printf(logger),
 		})

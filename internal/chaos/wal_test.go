@@ -59,15 +59,6 @@ func edgeSetAfter(batches [][]wal.Op) map[[2]uint32]bool {
 	return set
 }
 
-// toDynOps converts a WAL batch to the dynamic graph's op type.
-func toDynOps(ops []wal.Op) []dynamic.Op {
-	out := make([]dynamic.Op, len(ops))
-	for i, op := range ops {
-		out[i] = dynamic.Op{Kind: dynamic.OpKind(op.Kind), U: graph.VertexID(op.U), V: graph.VertexID(op.V)}
-	}
-	return out
-}
-
 // requireRecoveredExact fails unless d's edge set equals the reference
 // set and every maintained count equals a brute-force recount of its
 // edge's intersection — the "byte-identical to full recount" bar.
@@ -198,7 +189,7 @@ func TestWALRecoveryUnderChaos(t *testing.T) {
 			var replayed []uint64
 			info, err := wal.Replay(dir, func(b wal.Batch) error {
 				replayed = append(replayed, b.Seq)
-				_, err := recovered.ApplyBatch(toDynOps(b.Ops), 2)
+				_, err := recovered.ApplyBatch(b.Ops, 2)
 				return err
 			}, nil)
 			if err != nil {

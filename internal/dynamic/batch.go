@@ -6,35 +6,24 @@ import (
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
 	"cncount/internal/sched"
+	"cncount/internal/wal"
 )
 
-// OpKind is a batch edge-operation kind.
-type OpKind uint8
+// The edge-op types are the WAL's, so a logged batch and an applied one
+// are the same slice: no copy between the commit point and the repair.
+type (
+	// OpKind is a batch edge-operation kind.
+	OpKind = wal.OpKind
+	// Op is one edge mutation in a batch.
+	Op = wal.Op
+)
 
 const (
 	// OpInsert adds an undirected edge.
-	OpInsert OpKind = 1
+	OpInsert = wal.OpInsert
 	// OpDelete removes an undirected edge.
-	OpDelete OpKind = 2
+	OpDelete = wal.OpDelete
 )
-
-// String names the kind for errors and logs.
-func (k OpKind) String() string {
-	switch k {
-	case OpInsert:
-		return "insert"
-	case OpDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
-	}
-}
-
-// Op is one edge mutation in a batch.
-type Op struct {
-	Kind OpKind
-	U, V graph.VertexID
-}
 
 type edgeKey struct{ u, v graph.VertexID } // u < v
 

@@ -8,9 +8,9 @@ import (
 // handleDashboard serves the embedded live dashboard. The page is fully
 // self-contained — inline CSS and vanilla JS, no external assets — so it
 // works from an air-gapped benchmark host. It polls /progress and
-// /timeseries.json and renders the run's position plus the flight
-// recorder's series as sparklines; when the recorder is disabled the
-// series section degrades to a note instead of failing.
+// /metrics once a second and keeps the short history behind its
+// sparklines and the per-interval worker deltas in the page itself, so
+// the server holds no history for it.
 func (p *Plane) handleDashboard(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	io.WriteString(w, dashboardHTML)
@@ -79,7 +79,7 @@ const dashboardHTML = `<!DOCTYPE html>
 </head>
 <body>
 <h1>cncount <span class="scope" id="scope">—</span><span class="badge idle" id="badge">idle</span></h1>
-<div class="sub">live run dashboard · polls /progress and /timeseries.json</div>
+<div class="sub">live run dashboard · polls /progress and /metrics</div>
 
 <section id="progress">
   <div id="bar-track"><div id="bar-fill"></div></div>
@@ -99,7 +99,6 @@ const dashboardHTML = `<!DOCTYPE html>
     <div class="card"><div class="label">heap alloc</div><div class="value" id="v-heap">—</div><canvas id="c-heap"></canvas></div>
     <div class="card"><div class="label">goroutines</div><div class="value" id="v-gor">—</div><canvas id="c-gor"></canvas></div>
   </div>
-  <div class="note" id="ts-note" hidden>flight recorder disabled for this run (no /timeseries.json)</div>
 </section>
 
 <section id="workers-section">
@@ -117,6 +116,14 @@ const dashboardHTML = `<!DOCTYPE html>
 <script>
 "use strict";
 const $ = id => document.getElementById(id);
+
+// The page keeps its own short history: one point per poll per card.
+const HISTORY = 120;
+const hist = { eps: [], rss: [], heap: [], gor: [] };
+// prev anchors the per-interval deltas: the previous /progress reading
+// and when it arrived. The tallies it holds are cumulative since the
+// region began, so the deltas restart whenever runs changes.
+let prev = null;
 
 function fmtDur(s) {
   if (!isFinite(s) || s <= 0) return "—";
@@ -160,10 +167,27 @@ function spark(canvas, values) {
   g.stroke();
 }
 
-async function pollProgress() {
-  const r = await fetch("/progress");
-  if (!r.ok) return;
-  const p = await r.json();
+// gauges reads the unlabeled samples of a /metrics exposition.
+function gauges(text) {
+  const out = {};
+  for (const line of text.split("\n")) {
+    if (line === "" || line[0] === "#") continue;
+    const sp = line.lastIndexOf(" ");
+    const name = line.slice(0, sp);
+    if (!name.includes("{")) out[name] = Number(line.slice(sp + 1));
+  }
+  return out;
+}
+
+function card(key, value, text) {
+  const series = hist[key];
+  series.push(value);
+  if (series.length > HISTORY) series.shift();
+  $("v-" + key).textContent = text;
+  spark($("c-" + key), series);
+}
+
+function renderProgress(p) {
   $("scope").textContent = p.scope || "—";
   const badge = $("badge");
   if (p.stalled_workers > 0) { badge.textContent = "stalled"; badge.className = "badge stalled"; }
@@ -175,42 +199,26 @@ async function pollProgress() {
   $("rate").textContent = fmtNum(p.units_per_sec);
   $("elapsed").textContent = fmtDur(p.elapsed_seconds);
   $("eta").textContent = p.active ? fmtDur(p.eta_seconds) : "—";
-  return p;
 }
 
-async function pollTimeseries(progress) {
-  const r = await fetch("/timeseries.json");
-  if (r.status === 404) { $("ts-note").hidden = false; return; }
-  if (!r.ok) return;
-  $("ts-note").hidden = true;
-  const t = await r.json();
-  const samples = t.samples || [];
-  if (samples.length === 0) return;
-  const last = samples[samples.length - 1];
-  $("v-eps").textContent = fmtNum(last.units_per_sec);
-  $("v-rss").textContent = fmtBytes(last.rss_bytes);
-  $("v-heap").textContent = fmtBytes(last.heap_alloc_bytes);
-  $("v-gor").textContent = String(last.goroutines);
-  spark($("c-eps"), samples.map(s => s.units_per_sec));
-  spark($("c-rss"), samples.map(s => s.rss_bytes));
-  spark($("c-heap"), samples.map(s => s.heap_alloc_bytes));
-  spark($("c-gor"), samples.map(s => s.goroutines));
-
+// renderWorkers draws each worker's busy/wait/steal share of the wall
+// interval: since the previous poll within one region, or since the
+// region began when base is null.
+function renderWorkers(workers, base, intervalNanos) {
+  if (workers.length === 0 || intervalNanos <= 0) return;
   const container = $("workers");
-  const workers = last.workers || [];
-  if (workers.length === 0) return;
-  const interval = t.interval_nanos || 1;
-  const stalled = new Set(((progress && progress.workers) || []).filter(w => w.stalled).map(w => w.worker));
   container.innerHTML = "";
-  for (const wd of workers) {
-    const busy = Math.min(100, 100 * Math.max(wd.busy_nanos, 0) / interval);
-    const wait = Math.min(100 - busy, 100 * Math.max(wd.wait_nanos, 0) / interval);
-    const steal = Math.min(100 - busy - wait, 100 * Math.max(wd.steal_nanos, 0) / interval);
+  for (const wk of workers) {
+    const b = (base && base[wk.worker]) || { busy_nanos: 0, wait_nanos: 0, steal_nanos: 0 };
+    const share = f => 100 * Math.max(wk[f] - b[f], 0) / intervalNanos;
+    const busy = Math.min(100, share("busy_nanos"));
+    const wait = Math.min(100 - busy, share("wait_nanos"));
+    const steal = Math.min(100 - busy - wait, share("steal_nanos"));
     const row = document.createElement("div");
     row.className = "row";
-    const flag = stalled.has(wd.worker) ? ' <span class="stalled-flag">stalled</span>' : "";
+    const flag = wk.stalled ? ' <span class="stalled-flag">stalled</span>' : "";
     row.innerHTML =
-      '<span class="wid">w' + wd.worker + "</span>" +
+      '<span class="wid">w' + wk.worker + "</span>" +
       '<span class="track">' +
       '<span class="busy" style="width:' + busy + '%"></span>' +
       '<span class="wait" style="width:' + wait + '%"></span>' +
@@ -223,8 +231,21 @@ async function pollTimeseries(progress) {
 
 async function tick() {
   try {
-    const p = await pollProgress();
-    await pollTimeseries(p);
+    const [progRes, metricsRes] = await Promise.all([fetch("/progress"), fetch("/metrics")]);
+    if (!progRes.ok || !metricsRes.ok) return;
+    const p = await progRes.json();
+    const m = gauges(await metricsRes.text());
+    const now = performance.now();
+    renderProgress(p);
+    const same = prev !== null && prev.p.runs === p.runs;
+    const dt = same ? (now - prev.at) / 1000 : p.elapsed_seconds;
+    const eps = same && dt > 0 ? Math.max(p.done_units - prev.p.done_units, 0) / dt : p.units_per_sec || 0;
+    card("eps", eps, fmtNum(eps));
+    card("rss", m.cncount_rss_bytes || 0, fmtBytes(m.cncount_rss_bytes || 0));
+    card("heap", m.cncount_heap_alloc_bytes || 0, fmtBytes(m.cncount_heap_alloc_bytes || 0));
+    card("gor", m.cncount_goroutines || 0, String(m.cncount_goroutines || 0));
+    renderWorkers(p.workers || [], same ? prev.p.workers : null, dt * 1e9);
+    prev = { p: p, at: now };
   } catch (e) { /* transient poll failure: keep last render */ }
 }
 tick();

@@ -5,10 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cncount/internal/core"
 	"cncount/internal/gen"
@@ -158,13 +158,42 @@ func TestPlaneScrapesLiveRun(t *testing.T) {
 	}
 }
 
-// TestPlaneScrapesTimeseriesAndDashboard mounts the plane with a running
-// flight recorder and scrapes /timeseries.json and /dashboard
-// continuously while core.Count runs. Under -race this proves the
-// recorder's sampler goroutine and JSON serialization are safe against
-// the hot-path progress writers; in any mode every scraped document must
-// pass ValidateTimeseries, and the final ring must have recorded the run.
-func TestPlaneScrapesTimeseriesAndDashboard(t *testing.T) {
+// runtimeGauges are the process gauges /metrics reads at scrape time.
+var runtimeGauges = []string{
+	"cncount_goroutines",
+	"cncount_heap_alloc_bytes",
+	"cncount_heap_sys_bytes",
+	"cncount_gc_cycles_total",
+	"cncount_gc_pause_seconds_total",
+	"cncount_rss_bytes",
+}
+
+// unlabeledSamples returns the value of every unlabeled sample line of
+// an exposition body.
+func unlabeledSamples(body string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// TestPlaneScrapesProgressMetricsAndDashboard scrapes /progress,
+// /metrics and /dashboard continuously while core.Count runs — the three
+// sources the dashboard is drawn from. Under -race it proves the
+// per-worker tallies and runtime gauges are safe to read against the
+// hot-path writers. Within one region each worker's units and busy
+// nanos never decrease, and at the region's end the units sum to the
+// region's total; every /metrics scrape carries the six runtime gauges;
+// and the page polls /progress and /metrics while /timeseries.json no
+// longer exists.
+func TestPlaneScrapesProgressMetricsAndDashboard(t *testing.T) {
 	p, err := gen.ProfileByName("WI")
 	if err != nil {
 		t.Fatal(err)
@@ -176,30 +205,53 @@ func TestPlaneScrapesTimeseriesAndDashboard(t *testing.T) {
 
 	mc := metrics.New()
 	prog := sched.NewProgress()
-	rec := obs.NewRecorder(obs.RecorderOptions{Interval: 2 * time.Millisecond, Progress: prog})
-	rec.Start()
-	defer rec.Stop()
-	plane := obs.New(obs.Options{
-		Snapshot: mc.Snapshot,
-		Progress: prog,
-		Recorder: rec,
-	})
+	plane := obs.New(obs.Options{Snapshot: mc.Snapshot, Progress: prog})
 	ts := httptest.NewServer(plane.Handler())
 	defer ts.Close()
 
-	scrape := func(path string) (*http.Response, []byte, bool) {
+	scrape := func(path string) (*http.Response, string, bool) {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Errorf("GET %s: %v", path, err)
-			return nil, nil, false
+			return nil, "", false
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d, %v", path, resp.StatusCode, err)
-			return nil, nil, false
+			return nil, "", false
 		}
-		return resp, body, true
+		return resp, string(body), true
+	}
+	progress := func() (obs.ProgressStatus, bool) {
+		var st obs.ProgressStatus
+		_, body, ok := scrape("/progress")
+		if ok {
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Errorf("/progress: %v", err)
+				ok = false
+			}
+		}
+		return st, ok
+	}
+	checkGauges := func() bool {
+		_, body, ok := scrape("/metrics")
+		if !ok {
+			return false
+		}
+		got := unlabeledSamples(body)
+		for _, name := range runtimeGauges {
+			if _, ok := got[name]; !ok {
+				t.Errorf("/metrics lacks %s", name)
+				return false
+			}
+		}
+		if got["cncount_goroutines"] < 1 || got["cncount_heap_alloc_bytes"] <= 0 {
+			t.Errorf("runtime gauges implausible: goroutines %g, heap alloc %g",
+				got["cncount_goroutines"], got["cncount_heap_alloc_bytes"])
+			return false
+		}
+		return true
 	}
 
 	stop := make(chan struct{})
@@ -207,34 +259,37 @@ func TestPlaneScrapesTimeseriesAndDashboard(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var prev obs.ProgressStatus
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			resp, body, ok := scrape("/timeseries.json")
+			st, ok := progress()
 			if !ok {
 				return
 			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Errorf("/timeseries.json Content-Type = %q", ct)
+			if st.Runs == prev.Runs && len(st.Workers) == len(prev.Workers) {
+				for w, cur := range st.Workers {
+					old := prev.Workers[w]
+					if cur.Units < old.Units || cur.BusyNanos < old.BusyNanos {
+						t.Errorf("worker %d went backwards within run %d: units %d -> %d, busy %d -> %d",
+							w, st.Runs, old.Units, cur.Units, old.BusyNanos, cur.BusyNanos)
+						return
+					}
+				}
+			}
+			prev = st
+			if !checkGauges() {
 				return
 			}
-			if err := obs.ValidateTimeseries(body); err != nil {
-				t.Errorf("mid-run timeseries invalid: %v", err)
-				return
-			}
-			resp, body, ok = scrape("/dashboard")
+			resp, _, ok := scrape("/dashboard")
 			if !ok {
 				return
 			}
 			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 				t.Errorf("/dashboard Content-Type = %q", ct)
-				return
-			}
-			if !strings.Contains(string(body), "cncount dashboard") {
-				t.Error("/dashboard body lacks the page title")
 				return
 			}
 		}
@@ -255,39 +310,38 @@ func TestPlaneScrapesTimeseriesAndDashboard(t *testing.T) {
 		t.Error("counting produced nothing; scrape test proved nothing")
 	}
 
-	// Give the sampler one more interval to observe the settled state,
-	// then check the ring actually recorded the run.
-	deadline := time.After(5 * time.Second)
-	for {
-		_, body, ok := scrape("/timeseries.json")
-		if !ok {
-			t.FailNow()
+	st, ok := progress()
+	if !ok {
+		t.FailNow()
+	}
+	var units int64
+	for _, w := range st.Workers {
+		units += w.Units
+	}
+	if st.Active || len(st.Workers) == 0 || units != st.TotalUnits || st.TotalUnits != g.NumEdges() {
+		t.Errorf("final progress: active %v, %d workers, units sum %d, total %d (want %d)",
+			st.Active, len(st.Workers), units, st.TotalUnits, g.NumEdges())
+	}
+	checkGauges()
+
+	_, page, ok := scrape("/dashboard")
+	if !ok {
+		t.FailNow()
+	}
+	for _, want := range []string{"cncount dashboard", `fetch("/progress")`, `fetch("/metrics")`} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/dashboard lacks %q", want)
 		}
-		if err := obs.ValidateTimeseries(body); err != nil {
-			t.Fatalf("final timeseries invalid: %v", err)
-		}
-		var doc struct {
-			Samples []struct {
-				Scope     string `json:"scope"`
-				DoneUnits int64  `json:"done_units"`
-			} `json:"samples"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatal(err)
-		}
-		sawRun := false
-		for _, s := range doc.Samples {
-			if strings.HasPrefix(s.Scope, "core.count") {
-				sawRun = true
-			}
-		}
-		if sawRun {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("flight recorder never sampled the counting region")
-		case <-time.After(2 * time.Millisecond):
-		}
+	}
+	if strings.Contains(page, "timeseries") {
+		t.Error("/dashboard still references /timeseries.json")
+	}
+	resp, err := ts.Client().Get(ts.URL + "/timeseries.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/timeseries.json = %d, want 404", resp.StatusCode)
 	}
 }

@@ -9,32 +9,40 @@
 //
 // The plane serves, on one dedicated mux (never http.DefaultServeMux):
 //
-//	/healthz          liveness ("ok")
-//	/metrics          Prometheus text exposition of the live metrics.Collector
-//	/progress         JSON progress of the in-flight parallel region:
-//	                  percent done, units/sec, ETA, per-worker stall flags
-//	/trace.json       point-in-time snapshot of the live trace rings
-//	/timeseries.json  the flight recorder's ring: runtime and per-worker
-//	                  series sampled at a fixed interval (schema-versioned)
-//	/dashboard        embedded zero-dependency HTML view that live-polls
-//	                  /progress + /timeseries.json and renders sparklines
-//	/debug/pprof/     the standard runtime profiles
+//	/healthz       liveness ("ok")
+//	/metrics       Prometheus text exposition of the live metrics.Collector
+//	               plus the process runtime gauges (goroutines, heap, GC,
+//	               RSS), read at scrape time
+//	/progress      JSON progress of the in-flight parallel region:
+//	               percent done, units/sec, ETA, per-worker stall flags
+//	               and cumulative busy/wait/steal tallies
+//	/trace.json    point-in-time snapshot of the live trace rings
+//	/dashboard     embedded zero-dependency HTML view that polls /progress
+//	               and /metrics and keeps its own short history in the page
+//	/debug/pprof/  the standard runtime profiles
 //
 // Everything is pull-based and read-only: handlers snapshot the
 // collector (mutex-guarded, histogram reads atomic), sample the progress
 // source (atomic loads), and serialize live-mode trace rings (per-ring
 // mutex) — none of it perturbs the hot path, which pays only the nil
-// checks it already paid for metrics and tracing.
+// checks it already paid for metrics and tracing. The plane keeps no
+// history of its own: every number it serves is read from its source
+// when the request arrives.
 package obs
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +77,6 @@ type Options struct {
 	// (*trace.Tracer).WriteJSON of a tracer in live mode (SetLive). nil
 	// makes /trace.json respond 404.
 	TraceJSON func(io.Writer) error
-	// Recorder is the flight recorder served as /timeseries.json and
-	// consumed by /dashboard's sparklines. nil makes /timeseries.json
-	// respond 404 (the dashboard degrades gracefully). The plane does not
-	// start or stop the recorder; the owning command does.
-	Recorder *Recorder
 	// Manifest is served under /metrics as cncount_build_info and used as
 	// the fallback when the snapshot carries none.
 	Manifest *Manifest
@@ -132,7 +135,6 @@ func New(opts Options) *Plane {
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
 	p.mux.HandleFunc("/progress", p.handleProgress)
 	p.mux.HandleFunc("/trace.json", p.handleTrace)
-	p.mux.HandleFunc("/timeseries.json", p.handleTimeseries)
 	p.mux.HandleFunc("/dashboard", p.handleDashboard)
 	p.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	p.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -270,6 +272,57 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if err := p.writeWALProm(w, time.Now()); err != nil {
 		p.opts.Logf("obs: /metrics wal families write: %v", err)
 	}
+	if err := writeRuntimeProm(w); err != nil {
+		p.opts.Logf("obs: /metrics runtime gauges write: %v", err)
+	}
+}
+
+// writeRuntimeProm appends the process runtime gauges to the /metrics
+// exposition: one runtime.ReadMemStats and one /proc read per scrape,
+// nothing between scrapes.
+func writeRuntimeProm(w io.Writer) error {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	_, err := fmt.Fprintf(w,
+		"# HELP cncount_goroutines Live goroutines.\n"+
+			"# TYPE cncount_goroutines gauge\n"+
+			"cncount_goroutines %d\n"+
+			"# HELP cncount_heap_alloc_bytes Bytes of allocated heap objects.\n"+
+			"# TYPE cncount_heap_alloc_bytes gauge\n"+
+			"cncount_heap_alloc_bytes %d\n"+
+			"# HELP cncount_heap_sys_bytes Heap bytes obtained from the OS.\n"+
+			"# TYPE cncount_heap_sys_bytes gauge\n"+
+			"cncount_heap_sys_bytes %d\n"+
+			"# HELP cncount_gc_cycles_total Completed GC cycles.\n"+
+			"# TYPE cncount_gc_cycles_total counter\n"+
+			"cncount_gc_cycles_total %d\n"+
+			"# HELP cncount_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n"+
+			"# TYPE cncount_gc_pause_seconds_total counter\n"+
+			"cncount_gc_pause_seconds_total %g\n"+
+			"# HELP cncount_rss_bytes Resident set size; 0 where /proc is unavailable.\n"+
+			"# TYPE cncount_rss_bytes gauge\n"+
+			"cncount_rss_bytes %d\n",
+		runtime.NumGoroutine(), ms.HeapAlloc, ms.HeapSys, ms.NumGC,
+		float64(ms.PauseTotalNs)/1e9, readRSSBytes())
+	return err
+}
+
+// readRSSBytes returns the process resident set size from /proc, or 0
+// where that interface does not exist (non-Linux).
+func readRSSBytes() uint64 {
+	data, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	fields := strings.Fields(string(data))
+	if len(fields) < 2 {
+		return 0
+	}
+	pages, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return pages * uint64(os.Getpagesize())
 }
 
 func (p *Plane) handleProgress(w http.ResponseWriter, _ *http.Request) {
@@ -279,17 +332,6 @@ func (p *Plane) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(status); err != nil {
 		p.opts.Logf("obs: /progress write: %v", err)
-	}
-}
-
-func (p *Plane) handleTimeseries(w http.ResponseWriter, _ *http.Request) {
-	if p.opts.Recorder == nil {
-		http.Error(w, "flight recorder not enabled for this run", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := p.opts.Recorder.WriteJSON(w); err != nil {
-		p.opts.Logf("obs: /timeseries.json write: %v", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // ProgressStatus is the /progress payload: the raw sched.ProgressSample
 // facts plus the derived operational view — percent complete, throughput,
-// ETA, and per-worker stall verdicts.
+// ETA, and per-worker stall verdicts and tallies.
 type ProgressStatus struct {
 	// Active reports whether a parallel region is currently in flight;
 	// after the run the final (100%) state keeps being served.
@@ -49,6 +49,10 @@ type WorkerStatus struct {
 	// exceeds the configured threshold: the worker has been inside one
 	// task body (or starved) for suspiciously long.
 	Stalled bool `json:"stalled"`
+	// WorkerLive holds the worker's cumulative tallies within the region
+	// (units, busy/wait/steal nanos, steals); Begin resets them, so a
+	// poller differences two readings only while Runs is unchanged.
+	sched.WorkerLive
 }
 
 // BuildProgress derives the operational view from one progress sample.
@@ -77,6 +81,9 @@ func BuildProgress(s sched.ProgressSample, stallAfter time.Duration) ProgressSta
 	}
 	for w, age := range s.BeatAgeNanos {
 		ws := WorkerStatus{Worker: w, LastBeatSecondsAgo: float64(age) / 1e9}
+		if w < len(s.WorkerTallies) {
+			ws.WorkerLive = s.WorkerTallies[w]
+		}
 		if s.Active && s.RemainingUnits > 0 && stallAfter > 0 &&
 			age > stallAfter.Nanoseconds() {
 			ws.Stalled = true

@@ -10,10 +10,10 @@ import (
 // timestamp plus cumulative task tallies, all atomically written by the
 // owning worker and atomically read by samplers. Unlike the
 // metrics.SchedRecorder tallies (plain stores, readable only after the
-// join), these are safe to read mid-run — they are what the flight
-// recorder's per-worker busy/steal/queue-wait series are cut from. The
-// struct is padded to its own cache line so worker w's stores never
-// bounce the line under worker w+1's.
+// join), these are safe to read mid-run — /progress serves them per
+// worker, and the dashboard differences them into busy/wait/steal
+// shares. The struct is padded to its own cache line so worker w's
+// stores never bounce the line under worker w+1's.
 type workerSlot struct {
 	// beat is the unix-nano timestamp of the worker's last completed task.
 	beat atomic.Int64
@@ -32,9 +32,9 @@ type workerSlot struct {
 // Progress is the live progress source of a parallel region: the total and
 // remaining unit counts plus per-worker heartbeat and cumulative tallies
 // written from the task loop. It is the substrate of the observability
-// plane's /progress endpoint and flight recorder — "is it stuck or just
-// slow?" and "who is doing the work?" answered while the run is in
-// flight, without waiting for the join.
+// plane's /progress endpoint — "is it stuck or just slow?" and "who is
+// doing the work?" answered while the run is in flight, without waiting
+// for the join.
 //
 // A Progress is attached to a region through Obs.Prog. Workers update it
 // once per completed task (a handful of atomic adds and stores, all on
@@ -132,8 +132,9 @@ func (p *Progress) End() {
 }
 
 // WorkerLive is one worker's cumulative tallies within the current region,
-// safe to read while the region runs. The flight recorder differences
-// consecutive readings to get per-interval busy/wait/steal shares.
+// safe to read while the region runs. /progress serves them per worker;
+// a poller differences consecutive readings of one region to get
+// per-interval busy/wait/steal shares.
 type WorkerLive struct {
 	// Units is the cumulative unit count the worker has completed.
 	Units int64 `json:"units"`

@@ -1,7 +1,5 @@
 package serve
 
-import "sync/atomic"
-
 // admission is the bounded in-flight gate in front of every query
 // endpoint. It is a try-acquire semaphore, not a queue: a request that
 // finds all slots busy is rejected immediately with 429 rather than
@@ -9,8 +7,7 @@ import "sync/atomic"
 // all holding graph references and deadlines. Retry pressure is pushed
 // to the client via Retry-After.
 type admission struct {
-	slots    chan struct{}
-	rejected atomic.Uint64
+	slots chan struct{}
 }
 
 func newAdmission(maxInFlight int) *admission {
@@ -27,7 +24,6 @@ func (a *admission) tryAcquire() bool {
 	case a.slots <- struct{}{}:
 		return true
 	default:
-		a.rejected.Add(1)
 		return false
 	}
 }

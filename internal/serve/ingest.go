@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"cncount/internal/dynamic"
-	"cncount/internal/metrics"
 	"cncount/internal/wal"
 )
 
@@ -27,8 +26,6 @@ type IngestOptions struct {
 	Workers int
 	// Name is the graph name installed with each swapped epoch.
 	Name string
-	// Metrics receives ingestion counters; nil disables collection.
-	Metrics *metrics.Collector
 }
 
 // Ingester is the serialized write path: one batch at a time runs
@@ -106,18 +103,13 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 
 	var seq uint64
 	if in.opts.WAL != nil {
-		wops := make([]wal.Op, len(ops))
-		for i, op := range ops {
-			wops[i] = wal.Op{Kind: wal.OpKind(op.Kind), U: uint32(op.U), V: uint32(op.V)}
-		}
 		var err error
-		seq, err = in.opts.WAL.Append(wops)
+		seq, err = in.opts.WAL.Append(ops)
 		if err != nil {
 			// The append did not commit, but the log is poisoned (a torn
 			// record mid-log would become corruption if appends continued),
 			// so durability is gone: stop accepting writes.
 			in.broken = err
-			in.opts.Metrics.Add("ingest.broken", 1)
 			return IngestResult{}, fmt.Errorf("%w: wal append: %v", ErrIngestBroken, err)
 		}
 	} else {
@@ -130,13 +122,11 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 	res, err := in.dyn.ApplyBatch(ops, in.opts.Workers)
 	if err != nil {
 		in.broken = err
-		in.opts.Metrics.Add("ingest.broken", 1)
 		return IngestResult{}, fmt.Errorf("%w: apply after commit: %v", ErrIngestBroken, err)
 	}
 	csr, _, err := in.dyn.ToCSR()
 	if err != nil {
 		in.broken = err
-		in.opts.Metrics.Add("ingest.broken", 1)
 		return IngestResult{}, fmt.Errorf("%w: snapshot after commit: %v", ErrIngestBroken, err)
 	}
 	epoch := in.srv.SwapGraph(csr, in.opts.Name)
@@ -146,9 +136,6 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 	in.batches++
 	in.ops += uint64(len(ops))
 	in.applied += uint64(res.Applied)
-	in.opts.Metrics.Add("ingest.batches", 1)
-	in.opts.Metrics.Add("ingest.ops", uint64(len(ops)))
-	in.opts.Metrics.Add("ingest.applied", uint64(res.Applied))
 	return IngestResult{Seq: seq, Epoch: epoch, BatchResult: res}, nil
 }
 

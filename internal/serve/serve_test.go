@@ -12,6 +12,7 @@ import (
 
 	"cncount"
 	"cncount/internal/metrics"
+	"cncount/internal/obs"
 )
 
 // testGraph returns a small deterministic graph: the WI profile at a
@@ -327,8 +328,8 @@ func TestCacheLRUEviction(t *testing.T) {
 // next request is rejected with 429 + Retry-After instead of queueing.
 func TestAdmissionControl429(t *testing.T) {
 	g := testGraph(t)
-	mc := metrics.New()
-	s, ts := newTestServer(t, g, Options{MaxInFlight: 2, Metrics: mc})
+	red := obs.NewRequestMetrics()
+	s, ts := newTestServer(t, g, Options{MaxInFlight: 2, Requests: red})
 
 	// Occupy both slots directly — deterministic, no slow-request races.
 	for i := 0; i < 2; i++ {
@@ -351,8 +352,8 @@ func TestAdmissionControl429(t *testing.T) {
 	if !strings.Contains(string(body), "in-flight") {
 		t.Errorf("429 body lacks explanation: %s", body)
 	}
-	if snap := mc.Snapshot(); snap.Counters["serve.rejected"] != 1 {
-		t.Errorf("serve.rejected = %d, want 1", snap.Counters["serve.rejected"])
+	if exp := redExposition(t, red); !strings.Contains(exp, "cncd_requests_rejected_total 1\n") {
+		t.Errorf("RED exposition lacks one rejection:\n%s", exp)
 	}
 
 	// Releasing a slot restores service.
@@ -394,8 +395,10 @@ func TestRequestParamValidation(t *testing.T) {
 	g := testGraph(t)
 	_, ts := newTestServer(t, g, Options{})
 	for _, q := range []string{
-		"/v1/edge?u=1",                  // missing v
-		"/v1/edge?u=1&v=2&timeout_ms=0", // bad timeout
+		"/v1/edge?u=1",                                    // missing v
+		"/v1/edge?u=1&v=2&timeout_ms=0",                   // bad timeout
+		"/v1/edge?u=1&v=2&timeout_ms=10000000000000",      // overflows time.Duration
+		"/v1/edge?u=1&v=2&timeout_ms=9223372036854775807", // math.MaxInt64
 		"/v1/sample?n=0",
 		"/v1/sample?n=999999999",
 		"/v1/count?workers=-1",
@@ -469,25 +472,53 @@ func TestSrcOfOffset(t *testing.T) {
 	}
 }
 
-// TestMetricsCountersFlow checks the serving counters land in the
-// collector under the names /metrics exposes.
+// TestMetricsCountersFlow checks each serving number lands in the one
+// source that owns it: requests in the RED histograms, cache outcomes in
+// the cache's own stats, and nothing in the metrics collector.
 func TestMetricsCountersFlow(t *testing.T) {
 	g := testGraph(t)
 	mc := metrics.New()
-	_, ts := newTestServer(t, g, Options{Metrics: mc})
+	red := obs.NewRequestMetrics()
+	_, ts := newTestServer(t, g, Options{Metrics: mc, Requests: red})
 	u, v := firstEdge(g)
 	q := fmt.Sprintf("/v1/edge?u=%d&v=%d", u, v)
 	getJSON(t, ts, q, nil)
 	getJSON(t, ts, q, nil)
 
-	snap := mc.Snapshot()
-	if snap.Counters["serve.req_edge"] != 2 {
-		t.Errorf("serve.req_edge = %d, want 2", snap.Counters["serve.req_edge"])
+	// Requests are counted by the RED histograms, cache outcomes by the
+	// cache itself (served on /v1/info); the collector keeps neither.
+	exp := redExposition(t, red)
+	for _, want := range []string{
+		`cncd_request_duration_seconds_count{endpoint="edge",status="200",cache="miss"} 1`,
+		`cncd_request_duration_seconds_count{endpoint="edge",status="200",cache="hit"} 1`,
+	} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("edge requests: exposition lacks %q\n%s", want, exp)
+		}
 	}
-	if snap.Counters["serve.cache_misses"] != 1 || snap.Counters["serve.cache_hits"] != 1 {
-		t.Errorf("cache counters = %d misses %d hits, want 1/1",
-			snap.Counters["serve.cache_misses"], snap.Counters["serve.cache_hits"])
+	var info struct {
+		CacheHits   uint64 `json:"cache_hits"`
+		CacheMisses uint64 `json:"cache_misses"`
 	}
+	getJSON(t, ts, "/v1/info", &info)
+	if info.CacheMisses != 1 || info.CacheHits != 1 {
+		t.Errorf("cache counters = %d misses %d hits, want 1/1", info.CacheMisses, info.CacheHits)
+	}
+	for name := range mc.Snapshot().Counters {
+		if strings.HasPrefix(name, "serve.") {
+			t.Errorf("collector holds serving counter %q, a copy of a number another source owns", name)
+		}
+	}
+}
+
+// redExposition renders a RED collector's /metrics families.
+func redExposition(t *testing.T, red *obs.RequestMetrics) string {
+	t.Helper()
+	var b strings.Builder
+	if err := red.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestConcurrentQueriesAndSwap hammers the server from several

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -47,9 +48,8 @@ type Options struct {
 	// CountThreads is the worker count for /v1/count recounts; < 1 uses
 	// all cores.
 	CountThreads int
-	// Metrics receives serving counters (cache hits/misses, admission
-	// rejections, per-endpoint requests) alongside whatever counting
-	// phases /v1/count records. Nil disables collection.
+	// Metrics receives the counting phases and counters of /v1/count
+	// recounts. Nil disables collection.
 	Metrics *metrics.Collector
 	// Requests receives the RED view of every request (duration
 	// histograms by endpoint × status × cache, rejected counter, slowest
@@ -167,7 +167,6 @@ func (s *Server) SwapGraph(g *cncount.Graph, name string) uint64 {
 		old := s.state.Load()
 		next := &graphState{g: g, name: name, epoch: old.epoch + 1}
 		if s.state.CompareAndSwap(old, next) {
-			s.opts.Metrics.Add("serve.graph_swaps", 1)
 			return next.epoch
 		}
 	}
@@ -213,8 +212,7 @@ func errcode(status int, code, format string, args ...any) error {
 // wrap is the common serving path of every /v1 endpoint: request
 // identity first (so every response — 405s and 429s included — carries
 // the correlation headers), then method check, admission, deadline,
-// request counter, RED observation, access logging, capture, and JSON
-// error rendering. Handlers return an error instead of writing error
+// RED observation, access logging, capture, and JSON error rendering. Handlers return an error instead of writing error
 // responses themselves so the envelope stays uniform.
 func (s *Server) wrap(name, method string, h func(w http.ResponseWriter, r *http.Request, st *graphState) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -256,7 +254,6 @@ func (s *Server) wrap(name, method string, h func(w http.ResponseWriter, r *http
 		}
 		if !s.adm.tryAcquire() {
 			admission = "rejected"
-			s.opts.Metrics.Add("serve.rejected", 1)
 			s.opts.Requests.Reject()
 			hdr.Set("Retry-After", "1")
 			fail(http.StatusTooManyRequests,
@@ -266,7 +263,6 @@ func (s *Server) wrap(name, method string, h func(w http.ResponseWriter, r *http
 		defer s.adm.release()
 		s.inflight.add(reqID, name, start)
 		defer s.inflight.remove(reqID)
-		s.opts.Metrics.Add("serve.req_"+name, 1)
 
 		// Admitted requests get a private span tracer (capture enabled
 		// only): its epoch is now, so the serve.<endpoint> span and the
@@ -343,6 +339,10 @@ func (s *Server) captureRequest(endpoint string, status int, errBody string, sc 
 	s.capture.offer(cr)
 }
 
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow; past it the product wraps to a deadline already passed.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // reqContext derives the request's deadline: timeout_ms when the client
 // sent one, the server default otherwise. The deadline flows into the
 // counting runtime through Options.Context, so even a full recount is
@@ -350,9 +350,9 @@ func (s *Server) captureRequest(endpoint string, status int, errBody string, sc 
 func (s *Server) reqContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	d := s.opts.RequestTimeout
 	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms < 1 {
-			return nil, nil, fmt.Errorf("timeout_ms must be a positive integer, got %q", raw)
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms < 1 || ms > maxTimeoutMS {
+			return nil, nil, fmt.Errorf("timeout_ms must be an integer in [1, %d], got %q", maxTimeoutMS, raw)
 		}
 		d = time.Duration(ms) * time.Millisecond
 	}
@@ -398,12 +398,10 @@ func writeCached(w http.ResponseWriter, body []byte, hit bool) {
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, st *graphState, key string, compute func() ([]byte, error)) error {
 	sc := scopeFrom(r.Context())
 	if body, ok := s.cache.Get(st.epoch, key); ok {
-		s.opts.Metrics.Add("serve.cache_hits", 1)
 		sc.setCache("hit")
 		writeCached(w, body, true)
 		return nil
 	}
-	s.opts.Metrics.Add("serve.cache_misses", 1)
 	sc.setCache("miss")
 	stop := sc.span("serve.compute")
 	body, err := compute()

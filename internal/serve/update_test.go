@@ -325,11 +325,7 @@ func TestUpdateRecoveryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, err := wal.Replay(dir, func(b wal.Batch) error {
-		ops := make([]dynamic.Op, len(b.Ops))
-		for i, op := range b.Ops {
-			ops[i] = dynamic.Op{Kind: dynamic.OpKind(op.Kind), U: cncount.VertexID(op.U), V: cncount.VertexID(op.V)}
-		}
-		_, err := recovered.ApplyBatch(ops, 2)
+		_, err := recovered.ApplyBatch(b.Ops, 2)
 		return err
 	}, nil)
 	if err != nil {

@@ -19,6 +19,7 @@ package triangle
 
 import (
 	"cncount/internal/graph"
+	"cncount/internal/intersect"
 	"cncount/internal/sched"
 )
 
@@ -50,7 +51,7 @@ func MergeCount(g *graph.CSR, workers int) uint64 {
 			fu := forward(g, u)
 			for _, v := range fu {
 				fv := forward(g, v)
-				local += mergeLen(fu, fv)
+				local += uint64(intersect.Merge(fu, fv))
 			}
 		}
 		partial[worker*8] += local
@@ -62,24 +63,6 @@ func MergeCount(g *graph.CSR, workers int) uint64 {
 	return total
 }
 
-func mergeLen(a, b []graph.VertexID) uint64 {
-	var c uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}
-
 // HashCount counts triangles with a per-worker hash index over N⁺(u),
 // probed by each N⁺(v) — the hash variant of [23]. workers < 1 uses all
 // cores.
@@ -87,12 +70,12 @@ func HashCount(g *graph.CSR, workers int) uint64 {
 	n := int64(g.NumVertices())
 	w := sched.Workers(workers)
 	partial := make([]uint64, w*8)
-	sets := make([]*hashSet, w)
+	indexes := make([]*intersect.HashIndex, w)
 	sched.Run(n, 256, workers, sched.Obs{}, func(worker int, lo, hi int64) {
-		if sets[worker] == nil {
-			sets[worker] = newHashSet(64)
+		if indexes[worker] == nil {
+			indexes[worker] = intersect.NewHashIndex(64)
 		}
-		set := sets[worker]
+		idx := indexes[worker]
 		var local uint64
 		for ui := lo; ui < hi; ui++ {
 			u := graph.VertexID(ui)
@@ -100,16 +83,9 @@ func HashCount(g *graph.CSR, workers int) uint64 {
 			if len(fu) == 0 {
 				continue
 			}
-			set.reset(len(fu))
-			for _, w := range fu {
-				set.add(w)
-			}
+			idx.Rebuild(fu)
 			for _, v := range fu {
-				for _, w := range forward(g, v) {
-					if set.has(w) {
-						local++
-					}
-				}
+				local += uint64(intersect.HashCount(idx, forward(g, v)))
 			}
 		}
 		partial[worker*8] += local
@@ -130,76 +106,4 @@ func FromEdgeCounts(counts []uint32) uint64 {
 		sum += uint64(c)
 	}
 	return sum / 6
-}
-
-// hashSet is a minimal open-addressing set of uint32 keys with linear
-// probing; the sentinel empty slot is ^uint32(0) (never a vertex ID, since
-// IDs are < |V| ≤ 2^32-1 in practice and the caller controls inputs).
-type hashSet struct {
-	slots []uint32
-	mask  uint32
-}
-
-const hashEmpty = ^uint32(0)
-
-func newHashSet(capacity int) *hashSet {
-	h := &hashSet{}
-	h.grow(capacity)
-	return h
-}
-
-// grow sizes the table to hold n keys at ≤ 50% load.
-func (h *hashSet) grow(n int) {
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	h.slots = make([]uint32, size)
-	h.mask = uint32(size - 1)
-	for i := range h.slots {
-		h.slots[i] = hashEmpty
-	}
-}
-
-// reset prepares the set for n new keys, reallocating only when needed.
-func (h *hashSet) reset(n int) {
-	if 2*n > len(h.slots) {
-		h.grow(n)
-		return
-	}
-	for i := range h.slots {
-		h.slots[i] = hashEmpty
-	}
-}
-
-func hash32(x uint32) uint32 {
-	// Finalizer of MurmurHash3.
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return x
-}
-
-func (h *hashSet) add(key uint32) {
-	i := hash32(key) & h.mask
-	for h.slots[i] != hashEmpty {
-		if h.slots[i] == key {
-			return
-		}
-		i = (i + 1) & h.mask
-	}
-	h.slots[i] = key
-}
-
-func (h *hashSet) has(key uint32) bool {
-	i := hash32(key) & h.mask
-	for h.slots[i] != hashEmpty {
-		if h.slots[i] == key {
-			return true
-		}
-		i = (i + 1) & h.mask
-	}
-	return false
 }

@@ -77,14 +77,16 @@ curl -fsS "http://$ADDR/v1/topk?u=$U&k=3" | grep -q '"results":' || fail "/v1/to
 curl -fsS "http://$ADDR/v1/count?algo=bmp&workers=1" >"$TMP/count.json" || fail "/v1/count unreachable"
 grep -q '"triangles":' "$TMP/count.json" || fail "/v1/count lacks a triangle count"
 
-# Serving counters surface on the shared /metrics.
-curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.prom" || fail "/metrics unreachable"
-for series in \
-	'cncount_counter_total{name="serve.cache_hits"}' \
-	'cncount_counter_total{name="serve.cache_misses"}' \
-	'cncount_counter_total{name="serve.req_edge"}'; do
-	grep -qF "$series" "$TMP/metrics.prom" || fail "/metrics lacks $series"
+# Each serving number has one source: the cache counts its hits and
+# misses (served on /v1/info), the RED histograms on the shared /metrics
+# count requests.
+curl -fsS "http://$ADDR/v1/info" >"$TMP/info.json" || fail "/v1/info unreachable"
+for field in cache_hits cache_misses; do
+	grep -q "\"$field\":[1-9]" "$TMP/info.json" || fail "/v1/info reports no $field"
 done
+curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.prom" || fail "/metrics unreachable"
+grep -qF 'cncd_request_duration_seconds_count{endpoint="edge",' "$TMP/metrics.prom" \
+	|| fail "/metrics lacks the edge request count"
 
 # A short load burst writes a valid serving report.
 "$TMP/cncload" -addr "$ADDR" -duration 1s -concurrency 4 \
