@@ -2,10 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race check benchmodule benchsmoke calibratesmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke fuzz bench benchdiff benchreport microbench experiments examples clean
+.PHONY: all build vet fmt test race check benchmodule fuzz bench benchdiff benchreport microbench experiments examples clean
 
 # The default verify path is `make check`: build + vet + gofmt + tests +
-# the race detector on the small-graph packages.
+# the race detector on the small-graph packages + the bench/ module. Every
+# end-to-end flow (serving, request tracing, WAL crash recovery, the
+# benchmark and report pipelines, calibration, chaos) is a Go test, so
+# `go test ./...` alone runs them all.
 all: check
 
 build:
@@ -33,60 +36,7 @@ race:
 benchmodule:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Tiny end-to-end benchmark matrix (~seconds): exercises the full
-# generate → count → record pipeline under the work-stealing scheduler,
-# including a multi-worker cell, and discards the report. Catches wiring
-# breakage (schema, metrics plumbing, scheduler hangs) that unit tests on
-# isolated packages miss.
-benchsmoke:
-	$(GO) run ./cmd/benchrun -label smoke -profiles WI -scale 0.05 -algos bmp,adaptive -workers 1,2 -reps 1 -out /dev/null
-
-# Calibration smoke: measure a real crossover table on this host, validate
-# it (every bucket populated, monotone gallop crossovers — cnc -calibrate
-# refuses to print a table that fails this), then count a tiny profile with
-# the measured table and verify against the sequential reference.
-calibratesmoke:
-	$(GO) run ./cmd/cnc -calibrate -profile WI -scale 0.05 -algo adaptive -verify > /dev/null
-
-# Trend/attribution report over the committed benchmark history: proves
-# benchreport reads every committed BENCH_*.json (schema drift in either
-# direction fails here before it reaches a real analysis session).
-reportsmoke:
-	$(GO) run ./cmd/benchreport BENCH_*.json > /dev/null
-
-# Seeded chaos stress under the race detector: deterministic fault
-# schedules (worker panics, injected delays and stalls, loader read
-# errors, short writes and fsync refusals on the WAL path) driven
-# through the scheduler, watchdog, cancellation and crash-recovery
-# paths. -count=1 defeats test caching so every check reruns the stress.
-chaossmoke:
-	$(GO) test -race -count=1 -run 'TestSeededStress|TestWatchdogAbortsStalledRun|TestPanicDrain|TestCancellationUnderChaos|TestLoaderReadFault|TestWALRecoveryUnderChaos|TestWALMidLogCorruptionTyped' ./internal/chaos/
-
-# End-to-end smoke of the resident counting service: build cncd and
-# cncload, serve a tiny profile, exercise every /v1 endpoint, verify the
-# cache reports MISS then HIT, run a short load burst and validate its
-# serving report, then require a clean SIGTERM drain
-# (see scripts/servesmoke.sh).
-servesmoke:
-	sh scripts/servesmoke.sh
-
-# End-to-end smoke of request-scoped observability: traceparent
-# propagation and echo, hostile-header degradation, identified error
-# bodies, the /debug/requests capture ring and inspector page, RED
-# request families on /metrics, and structured access-log events
-# (see scripts/reqsmoke.sh).
-reqsmoke:
-	sh scripts/reqsmoke.sh
-
-# End-to-end smoke of durable streaming ingestion: serve with a WAL,
-# commit acknowledged update batches, SIGKILL the daemon mid-run,
-# restart on the same log, and require the replay banner plus exact
-# count equality between the replayed maintained state and a fresh
-# recount (see scripts/walsmoke.sh).
-walsmoke:
-	sh scripts/walsmoke.sh
-
-check: build fmt test race benchmodule benchsmoke calibratesmoke chaossmoke reportsmoke servesmoke reqsmoke walsmoke
+check: build fmt test race benchmodule
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

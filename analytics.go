@@ -25,17 +25,6 @@ func ClusteringCoefficients(g *Graph, counts []uint32) ([]float64, error) {
 	return analytics.ClusteringCoefficients(g, counts)
 }
 
-// Clustering is a structural graph clustering result.
-type Clustering = analytics.Clustering
-
-// Cluster performs SCAN-style structural clustering: edges with structural
-// similarity ≥ eps connect vertices; vertices with ≥ mu such neighbors
-// (counting themselves) are cores; clusters are core-connected components
-// with attached borders.
-func Cluster(g *Graph, counts []uint32, eps float64, mu int) (*Clustering, error) {
-	return analytics.Cluster(g, counts, eps, mu)
-}
-
 // Recommendation is one entry of a ranked neighbor list.
 type Recommendation = analytics.Recommendation
 

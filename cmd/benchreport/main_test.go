@@ -130,9 +130,26 @@ func TestRunHTML(t *testing.T) {
 	}
 }
 
+// TestRunCommittedHistory runs the report over every BENCH_*.json
+// committed at the repository root, so schema drift in either direction
+// between benchfmt and the committed history fails here.
+func TestRunCommittedHistory(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed BENCH_*.json reports found")
+	}
+	cfg := appConfig{threshold: 0.10, htmlOut: filepath.Join(t.TempDir(), "report.html"), files: files}
+	var out strings.Builder
+	if err := run(cfg, &out); err != nil {
+		t.Fatalf("report over %v: %v", files, err)
+	}
+}
+
 // TestRunSingleReport checks the degenerate one-file invocation still
-// renders (no deltas, no crash) — the shape `make check` uses on a fresh
-// clone with one committed report.
+// renders (no deltas, no crash).
 func TestRunSingleReport(t *testing.T) {
 	dir := t.TempDir()
 	path := writeReport(t, dir, "BENCH_one.json", &benchfmt.Report{

@@ -208,19 +208,12 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 		Manifest: &manifest,
 		Requests: reqMetrics,
 		Logf:     logf,
-		WALStats: func() (obs.WALStatus, bool) {
+		WALStats: func() (wal.Stats, bool) {
 			l := walLog.Load()
 			if l == nil {
-				return obs.WALStatus{}, false
+				return wal.Stats{}, false
 			}
-			st := l.Stats()
-			return obs.WALStatus{
-				Segments:          st.Segments,
-				Bytes:             st.Bytes,
-				Appended:          st.Appended,
-				LastSyncUnixNanos: st.LastSyncUnixNanos,
-				NextSeq:           st.NextSeq,
-			}, true
+			return l.Stats(), true
 		},
 	})
 	defer func() {

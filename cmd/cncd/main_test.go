@@ -162,8 +162,13 @@ func TestRunInProcessLifecycle(t *testing.T) {
 	if _, _, body := get(t, base+"/v1/info"); json.Unmarshal([]byte(body), &info) != nil || info.CacheHits == 0 {
 		t.Errorf("/v1/info reports no cache hits:\n%s", body)
 	}
-	if _, _, body := get(t, base+"/metrics"); !strings.Contains(body, `cncd_request_duration_seconds_count{endpoint="edge",status="200",cache="hit"}`) {
-		t.Errorf("/metrics lacks the edge cache-hit RED series:\n%.600s", body)
+	_, _, metricsBody := get(t, base+"/metrics")
+	if !strings.Contains(metricsBody, `cncd_request_duration_seconds_count{endpoint="edge",status="200",cache="hit"}`) {
+		t.Errorf("/metrics lacks the edge cache-hit RED series:\n%.600s", metricsBody)
+	}
+	// No WAL is configured, so the WAL families stay off /metrics.
+	if strings.Contains(metricsBody, "cncd_wal_") {
+		t.Errorf("/metrics carries WAL families without a WAL:\n%s", metricsBody)
 	}
 
 	cancel()
@@ -184,6 +189,18 @@ func buildDaemon(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// waitDrained waits for a daemon that was sent SIGTERM and requires a
+// clean drain: exit status 0 and the "drained, exiting" log line.
+func waitDrained(t *testing.T, cmd *exec.Cmd, out *syncBuffer) {
+	t.Helper()
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("SIGTERM drain exited non-zero: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "drained, exiting") {
+		t.Errorf("no drain completion log:\n%s", out.String())
+	}
 }
 
 // TestDaemonSIGTERMDrainE2E pins the operational shutdown contract on
@@ -238,13 +255,7 @@ func TestDaemonSIGTERMDrainE2E(t *testing.T) {
 	if status, _, _ := get(t, base+"/v1/info"); status != http.StatusOK {
 		t.Errorf("/v1/info during drain notice = %d, want 200", status)
 	}
-
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("SIGTERM drain exited non-zero: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "drained, exiting") {
-		t.Errorf("no drain completion log:\n%s", out.String())
-	}
+	waitDrained(t, cmd, &out)
 }
 
 // TestDaemonDrainWithIdleConnE2E pins the drain against a connection that
@@ -280,12 +291,7 @@ func TestDaemonDrainWithIdleConnE2E(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("drain with an idle connection exited non-zero: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "drained, exiting") {
-		t.Errorf("no drain completion log:\n%s", out.String())
-	}
+	waitDrained(t, cmd, &out)
 }
 
 // TestDaemonAdmission429E2E saturates a one-slot daemon with a slow
@@ -386,7 +392,8 @@ func getWith(t *testing.T, url string, hdr map[string]string) (int, http.Header,
 // traced /v1/count echoes the caller's trace context, lands in
 // /debug/requests.json with a span tree reaching sched-level worker
 // spans, shows up in the correct RED histogram bucket on /metrics, and
-// leaves a structured access-log event carrying its request ID.
+// leaves a structured access-log event carrying its request and trace
+// IDs; with all of that enabled, SIGTERM still drains cleanly.
 func TestDaemonRequestObservabilityE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the real binary under -race")
@@ -403,10 +410,7 @@ func TestDaemonRequestObservabilityE2E(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		cmd.Process.Signal(os.Interrupt)
-		cmd.Wait()
-	}()
+	defer cmd.Process.Kill()
 	base := "http://" + waitAddr(t, &out, 60*time.Second)
 
 	// A traced recount: the response must continue the caller's trace
@@ -509,9 +513,21 @@ func TestDaemonRequestObservabilityE2E(t *testing.T) {
 		t.Error("/metrics lacks cncd_requests_in_flight")
 	}
 
-	// The access log carries the request ID as a structured field.
-	if !strings.Contains(out.String(), countReqID) {
-		t.Errorf("access log never mentions %s:\n%.800s", countReqID, out.String())
+	// The access log carries one structured event for the recount,
+	// naming its request ID and the caller's trace.
+	var event struct {
+		Msg       string `json:"msg"`
+		RequestID string `json:"request_id"`
+		TraceID   string `json:"trace_id"`
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, countReqID) && json.Unmarshal([]byte(line), &event) == nil {
+			break
+		}
+	}
+	if event.Msg != "request" || event.RequestID != countReqID || event.TraceID != wantTrace {
+		t.Errorf("access-log event %+v, want msg \"request\" for %s on trace %s:\n%.800s",
+			event, countReqID, wantTrace, out.String())
 	}
 
 	// The inspector page is fully self-contained.
@@ -522,6 +538,11 @@ func TestDaemonRequestObservabilityE2E(t *testing.T) {
 	if strings.Contains(page, `src="http`) || strings.Contains(page, `href="http`) {
 		t.Error("inspector page references external assets")
 	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, cmd, &out)
 }
 
 // postJSON posts a JSON body and returns the status and response body.
@@ -548,12 +569,30 @@ type updateResponse struct {
 
 var replayBanner = regexp.MustCompile(`cncd wal replayed: batches=(\d+) ops=(\d+) torn_tail=(\w+) epoch=(\d+)`)
 
+// promValue returns the value of the unlabeled sample name in a
+// Prometheus text exposition, failing the test when it is absent.
+func promValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if raw, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(raw, 64)
+			if err != nil {
+				t.Fatalf("%s value %q: %v", name, raw, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics lacks %s:\n%s", name, exposition)
+	return 0
+}
+
 // TestDaemonCrashRecoveryE2E pins the durability contract on the real
 // binary: a daemon accepting durable updates is killed dead (SIGKILL —
 // no drain, no WAL close) with a batch in flight; a restart on the same
 // WAL directory must report a replay banner covering every acknowledged
-// batch, resume epochs and sequence numbers monotonically, and serve a
-// graph whose maintained counts match a from-scratch recount exactly.
+// batch, resume epochs and sequence numbers monotonically, expose the
+// reopened log on /metrics, serve a graph whose maintained counts match
+// a from-scratch recount exactly, and drain cleanly with the WAL open.
 func TestDaemonCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills the real binary under -race")
@@ -650,10 +689,7 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 	if err := cmd2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		cmd2.Process.Signal(os.Interrupt)
-		cmd2.Wait()
-	}()
+	defer cmd2.Process.Kill()
 	base2 := "http://" + waitAddr(t, &out2, 60*time.Second)
 
 	// The replay banner must cover every acknowledged batch; at most one
@@ -676,7 +712,8 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 
 	// Wait for recovery to finish (healthz leaves "recovering"), then
 	// check the resumed ingest state: last_seq continues the WAL, the
-	// replay swap moved the epoch past boot.
+	// replay swap moved the epoch past boot, and the ingest section names
+	// that same epoch.
 	for {
 		status, _, body := get(t, base2+"/healthz")
 		if status == http.StatusOK && body == "ok\n" {
@@ -691,6 +728,7 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 		Epoch  uint64 `json:"epoch"`
 		Ingest struct {
 			LastSeq   uint64 `json:"last_seq"`
+			Epoch     uint64 `json:"epoch"`
 			Triangles uint64 `json:"triangles"`
 			Durable   bool   `json:"durable"`
 		} `json:"ingest"`
@@ -704,6 +742,22 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 	}
 	if info2.Epoch < 2 {
 		t.Errorf("recovered epoch = %d, want >= 2 (boot + replay swap)", info2.Epoch)
+	}
+	if info2.Ingest.Epoch != info2.Epoch {
+		t.Errorf("recovered ingest epoch = %d, server epoch = %d", info2.Ingest.Epoch, info2.Epoch)
+	}
+
+	// The reopened log is on /metrics: it resumes numbering after the
+	// replayed batches and holds them on disk.
+	_, _, prom := get(t, base2+"/metrics")
+	if got := promValue(t, prom, "cncd_wal_next_seq"); got != float64(replayed+1) {
+		t.Errorf("cncd_wal_next_seq = %g, want %d", got, replayed+1)
+	}
+	if got := promValue(t, prom, "cncd_wal_segments"); got < 1 {
+		t.Errorf("cncd_wal_segments = %g, want >= 1", got)
+	}
+	if got := promValue(t, prom, "cncd_wal_bytes"); got <= 0 {
+		t.Errorf("cncd_wal_bytes = %g, want > 0", got)
 	}
 
 	// Count equality: the maintained counts replayed from the WAL must
@@ -740,4 +794,18 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 	if ur.Epoch <= info2.Epoch {
 		t.Errorf("post-recovery epoch = %d, did not climb past %d", ur.Epoch, info2.Epoch)
 	}
+	// The batch went through the reopened log and was fsynced (-fsync
+	// batch), so the fsync age is no longer the -1 of "never".
+	_, _, prom = get(t, base2+"/metrics")
+	if got := promValue(t, prom, "cncd_wal_appended_batches_total"); got != 1 {
+		t.Errorf("cncd_wal_appended_batches_total = %g, want 1", got)
+	}
+	if got := promValue(t, prom, "cncd_wal_last_fsync_age_seconds"); got < 0 {
+		t.Errorf("cncd_wal_last_fsync_age_seconds = %g, want >= 0", got)
+	}
+
+	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, cmd2, &out2)
 }

@@ -116,12 +116,6 @@ func NewGraph(numVertices int, edges []Edge) (*Graph, error) {
 	return graph.FromEdges(numVertices, edges)
 }
 
-// NewGraphParallel is NewGraph with the construction phases parallelized
-// across workers (< 1 = all cores); prefer it for very large edge lists.
-func NewGraphParallel(numVertices int, edges []Edge, workers int) (*Graph, error) {
-	return graph.FromEdgesParallel(numVertices, edges, workers, nil)
-}
-
 // ConnectedComponents labels each vertex with its connected component and
 // returns the component count.
 func ConnectedComponents(g *Graph) (compOf []int32, numComponents int) {

@@ -177,7 +177,7 @@ func TestAnalyticsFacade(t *testing.T) {
 	if _, err := ClusteringCoefficients(g, res.Counts); err != nil {
 		t.Fatal(err)
 	}
-	clu, err := Cluster(g, res.Counts, 0.5, 3)
+	clu, err := SCANFromCounts(g, res.Counts, ScanParams{Eps: 0.5, Mu: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func ExampleCountEdge() {
 	// 2
 }
 
-func ExampleCluster() {
+func ExampleSCANFromCounts() {
 	// Two triangles joined by one bridge edge.
 	g, err := cncount.NewGraph(6, []cncount.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
@@ -60,7 +60,7 @@ func ExampleCluster() {
 	if err != nil {
 		panic(err)
 	}
-	clu, err := cncount.Cluster(g, res.Counts, 0.7, 3)
+	clu, err := cncount.SCANFromCounts(g, res.Counts, cncount.ScanParams{Eps: 0.7, Mu: 3})
 	if err != nil {
 		panic(err)
 	}

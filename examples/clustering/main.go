@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("counting took %v\n", res.Elapsed)
 
 	// Step 2: SCAN structural clustering on top of the counts.
-	clu, err := cncount.Cluster(g, res.Counts, eps, mu)
+	clu, err := cncount.SCANFromCounts(g, res.Counts, cncount.ScanParams{Eps: eps, Mu: mu})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func main() {
 	// Evaluate against the planted truth: majority cluster per community.
 	correct, clustered := 0, 0
 	for comm := 0; comm < communities; comm++ {
-		votes := map[int]int{}
+		votes := map[int32]int{}
 		for u := comm * size; u < (comm+1)*size; u++ {
 			if id := clu.ClusterOf[u]; id >= 0 {
 				votes[id]++
 				clustered++
 			}
 		}
-		bestID, bestVotes := -1, 0
+		bestID, bestVotes := int32(-1), 0
 		for id, v := range votes {
 			if v > bestVotes {
 				bestID, bestVotes = id, v

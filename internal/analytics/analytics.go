@@ -1,8 +1,10 @@
 // Package analytics implements the downstream graph analytics the paper
-// cites as consumers of all-edge common neighbor counts (§1): structural
-// similarity and SCAN-style structural graph clustering [8, 9, 27], edge
-// similarity queries (cosine and Jaccard), exact triangle counting, and
+// cites as consumers of all-edge common neighbor counts (§1): SCAN
+// structural similarity [8, 9, 27], edge similarity queries (cosine and
+// Jaccard), local clustering coefficients, exact triangle counting, and
 // common-neighbor-strength recommendation for co-purchasing graphs.
+// Structural clustering itself lives in internal/scan, whose FromCounts
+// consumes the same count array.
 //
 // Every function consumes a count array indexed by edge offset, as produced
 // by the counting engine, so the expensive intersection work is done once
@@ -90,142 +92,6 @@ func ClusteringCoefficients(g *graph.CSR, counts []uint32) ([]float64, error) {
 		cc[u] = float64(twiceTri) / float64(d*(d-1))
 	}
 	return cc, nil
-}
-
-// Clustering is the result of Cluster: a cluster ID per vertex (-1 for
-// unclustered vertices), plus SCAN's classification of the unclustered
-// remainder into hubs (bridging two or more clusters) and outliers.
-type Clustering struct {
-	// ClusterOf maps vertex → cluster ID, or -1.
-	ClusterOf []int
-	// NumClusters is the number of distinct clusters.
-	NumClusters int
-	// Cores flags the core vertices (≥ mu neighbors at similarity ≥ eps).
-	Cores []bool
-	// Hubs flags unclustered vertices adjacent to two or more different
-	// clusters (SCAN's hub classification [27]).
-	Hubs []bool
-	// Outliers flags the remaining unclustered vertices.
-	Outliers []bool
-}
-
-// Cluster performs SCAN-style structural graph clustering [27] driven by
-// the precomputed counts: an edge is an ε-edge when its structural
-// similarity is at least eps; a vertex is a core when it has at least mu
-// ε-neighbors (counting itself); clusters are formed by connecting cores
-// through ε-edges and attaching each border vertex to a neighboring core's
-// cluster.
-func Cluster(g *graph.CSR, counts []uint32, eps float64, mu int) (*Clustering, error) {
-	sim, err := StructuralSimilarity(g, counts)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	cores := make([]bool, n)
-	for u := 0; u < n; u++ {
-		epsNbrs := 1 // Γ(u) includes u itself
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			if sim[e] >= eps {
-				epsNbrs++
-			}
-		}
-		cores[u] = epsNbrs >= mu
-	}
-
-	// Union cores across ε-edges.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for u := 0; u < n; u++ {
-		if !cores[u] {
-			continue
-		}
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			v := g.Dst[e]
-			if cores[v] && sim[e] >= eps {
-				union(int32(u), int32(v))
-			}
-		}
-	}
-
-	// Number the core components, then attach borders.
-	clusterOf := make([]int, n)
-	for i := range clusterOf {
-		clusterOf[i] = -1
-	}
-	next := 0
-	rootCluster := make(map[int32]int)
-	for u := 0; u < n; u++ {
-		if !cores[u] {
-			continue
-		}
-		r := find(int32(u))
-		id, ok := rootCluster[r]
-		if !ok {
-			id = next
-			next++
-			rootCluster[r] = id
-		}
-		clusterOf[u] = id
-	}
-	for u := 0; u < n; u++ {
-		if cores[u] || clusterOf[u] != -1 {
-			continue
-		}
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			v := g.Dst[e]
-			if cores[v] && sim[e] >= eps {
-				clusterOf[u] = clusterOf[v]
-				break
-			}
-		}
-	}
-
-	// Classify the still-unclustered vertices: hubs bridge two or more
-	// clusters, the rest are outliers (SCAN's final step).
-	hubs := make([]bool, n)
-	outliers := make([]bool, n)
-	for u := 0; u < n; u++ {
-		if clusterOf[u] != -1 {
-			continue
-		}
-		first := -1
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			if c := clusterOf[g.Dst[e]]; c != -1 {
-				if first == -1 {
-					first = c
-				} else if c != first {
-					hubs[u] = true
-					break
-				}
-			}
-		}
-		if !hubs[u] {
-			outliers[u] = true
-		}
-	}
-	return &Clustering{
-		ClusterOf:   clusterOf,
-		NumClusters: next,
-		Cores:       cores,
-		Hubs:        hubs,
-		Outliers:    outliers,
-	}, nil
 }
 
 // Recommendation is one ranked edge of a recommendation list.

@@ -75,9 +75,6 @@ func TestSimilarityLengthMismatch(t *testing.T) {
 	if _, err := ClusteringCoefficients(g, cnt[:1]); err == nil {
 		t.Error("short counts accepted by ClusteringCoefficients")
 	}
-	if _, err := Cluster(g, cnt[:1], 0.5, 2); err == nil {
-		t.Error("short counts accepted by Cluster")
-	}
 	if _, err := TopKNeighbors(g, cnt[:1], 0, 3); err == nil {
 		t.Error("short counts accepted by TopKNeighbors")
 	}
@@ -129,115 +126,6 @@ func TestClusteringCoefficients(t *testing.T) {
 	// Degree-1 vertex: 0 by convention.
 	if cc[3] != 0 {
 		t.Errorf("cc[3] = %g, want 0", cc[3])
-	}
-}
-
-func TestClusterTwoCliquesAndBridge(t *testing.T) {
-	// Two K4 cliques joined by a single bridge edge: clustering at a
-	// moderate eps must find exactly two clusters and not merge them.
-	var edges []graph.Edge
-	clique := func(base graph.VertexID) {
-		for i := graph.VertexID(0); i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				edges = append(edges, graph.Edge{U: base + i, V: base + j})
-			}
-		}
-	}
-	clique(0)
-	clique(4)
-	edges = append(edges, graph.Edge{U: 3, V: 4})
-	g, err := graph.FromEdges(8, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt := verify.Counts(g)
-	c, err := Cluster(g, cnt, 0.6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumClusters != 2 {
-		t.Fatalf("NumClusters = %d, want 2 (clustering: %v)", c.NumClusters, c.ClusterOf)
-	}
-	// Vertices within one clique share a cluster; across cliques differ.
-	if c.ClusterOf[0] != c.ClusterOf[1] || c.ClusterOf[0] != c.ClusterOf[2] {
-		t.Errorf("clique 1 split: %v", c.ClusterOf)
-	}
-	if c.ClusterOf[4] != c.ClusterOf[7] {
-		t.Errorf("clique 2 split: %v", c.ClusterOf)
-	}
-	if c.ClusterOf[0] == c.ClusterOf[4] {
-		t.Errorf("cliques merged across bridge: %v", c.ClusterOf)
-	}
-}
-
-func TestClusterHubAndOutlierClassification(t *testing.T) {
-	// Two triangles joined through vertex 6 (adjacent to both), plus an
-	// isolated pendant 7 hanging off vertex 6: at strict eps, 6 is
-	// unclustered but bridges both clusters (hub) and 7 is an outlier.
-	edges := []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, // triangle A
-		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5}, // triangle B
-		{U: 6, V: 0}, {U: 6, V: 3}, // bridge vertex
-		{U: 6, V: 7}, // pendant
-	}
-	g, err := graph.FromEdges(8, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt := verify.Counts(g)
-	c, err := Cluster(g, cnt, 0.7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumClusters != 2 {
-		t.Fatalf("NumClusters = %d, want 2 (%v)", c.NumClusters, c.ClusterOf)
-	}
-	if c.ClusterOf[6] != -1 {
-		t.Fatalf("bridge vertex clustered: %v", c.ClusterOf)
-	}
-	if !c.Hubs[6] {
-		t.Error("bridge vertex not classified as hub")
-	}
-	if c.Outliers[6] {
-		t.Error("hub also flagged outlier")
-	}
-	if !c.Outliers[7] {
-		t.Error("pendant not classified as outlier")
-	}
-	if c.Hubs[7] {
-		t.Error("pendant flagged as hub")
-	}
-	// Clustered vertices are neither hubs nor outliers.
-	for u := 0; u < 6; u++ {
-		if c.Hubs[u] || c.Outliers[u] {
-			t.Errorf("clustered vertex %d misclassified", u)
-		}
-	}
-}
-
-func TestClusterExtremes(t *testing.T) {
-	g, cnt := randomCase(t, 5, 60, 300)
-	// eps = 0: every edge qualifies; all vertices with any neighbors end up
-	// clustered; cluster count equals connected components with degree > 0.
-	c, err := Cluster(g, cnt, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumClusters < 1 {
-		t.Error("no clusters at eps=0")
-	}
-	// eps > 1: no ε-edges; mu > 1 means no cores, no clusters.
-	c, err = Cluster(g, cnt, 1.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumClusters != 0 {
-		t.Errorf("NumClusters = %d at impossible eps", c.NumClusters)
-	}
-	for _, id := range c.ClusterOf {
-		if id != -1 {
-			t.Fatal("vertex clustered at impossible eps")
-		}
 	}
 }
 

@@ -218,9 +218,10 @@ func TestLoaderReadFault(t *testing.T) {
 	}
 }
 
-// TestSeededStress is the chaossmoke workload: across several seeds, mix
-// panics, delays, stalls, and mid-run cancellation, and assert every
-// combination terminates with a sane outcome and no leaked goroutines.
+// TestSeededStress is the seeded chaos workload (run under -race by
+// `make race`): across several seeds, mix panics, delays, stalls, and
+// mid-run cancellation, and assert every combination terminates with a
+// sane outcome and no leaked goroutines.
 func TestSeededStress(t *testing.T) {
 	const n, taskSize, workers = 1 << 14, 32, 4
 	before := runtime.NumGoroutine()

@@ -78,35 +78,27 @@ func TestFromEdgesOutOfRange(t *testing.T) {
 
 // TestFromEdgesRejectsSentinelIDSpace: a vertex count past MaxUint32 would
 // make the ID ^uint32(0) — intersect.HashIndex's empty-slot sentinel — a
-// legal vertex, silently corrupting hash probes. Both in-memory
-// constructors must reject it with the typed error before allocating
-// anything count-proportional, matching the file loaders' semantics.
+// legal vertex, silently corrupting hash probes. The in-memory constructor
+// must reject it with the typed error before allocating anything
+// count-proportional, matching the file loaders' semantics.
 func TestFromEdgesRejectsSentinelIDSpace(t *testing.T) {
 	tooMany := int(int64(math.MaxUint32) + 1)
 	if int64(tooMany) != int64(math.MaxUint32)+1 {
 		t.Skip("32-bit int cannot express an out-of-range vertex count")
 	}
-	for _, tc := range []struct {
-		name  string
-		build func(int, []Edge) (*CSR, error)
-	}{
-		{"FromEdges", FromEdges},
-		{"FromEdgesParallel", func(n int, e []Edge) (*CSR, error) { return FromEdgesParallel(n, e, 2, nil) }},
-	} {
-		_, err := tc.build(tooMany, []Edge{{math.MaxUint32, 0}})
-		if err == nil {
-			t.Fatalf("%s accepted vertex ID MaxUint32", tc.name)
-		}
-		var vre *VertexRangeError
-		if !errors.As(err, &vre) {
-			t.Fatalf("%s: error %v is not a *VertexRangeError", tc.name, err)
-		}
-		if vre.NumVertices != tooMany {
-			t.Errorf("%s: NumVertices = %d, want %d", tc.name, vre.NumVertices, tooMany)
-		}
-		if !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("%s: error %q does not match the loader wording", tc.name, err)
-		}
+	_, err := FromEdges(tooMany, []Edge{{math.MaxUint32, 0}})
+	if err == nil {
+		t.Fatal("FromEdges accepted vertex ID MaxUint32")
+	}
+	var vre *VertexRangeError
+	if !errors.As(err, &vre) {
+		t.Fatalf("error %v is not a *VertexRangeError", err)
+	}
+	if vre.NumVertices != tooMany {
+		t.Errorf("NumVertices = %d, want %d", vre.NumVertices, tooMany)
+	}
+	if !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("error %q does not match the loader wording", err)
 	}
 	// The last representable count still passes validation; checked
 	// directly because actually building it would allocate ~32 GB.

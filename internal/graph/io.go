@@ -22,9 +22,8 @@ import (
 // duplicates ("u v" and "v u"), and self-loops ("u u") are preserved
 // verbatim. The canonical semantics — self-loops dropped, duplicates
 // merged so each undirected edge appears exactly once per direction — are
-// enforced identically by both build paths, FromEdges and
-// FromEdgesParallel, so degrees and counts never inflate from dirty
-// input.
+// enforced by the build path, FromEdges, so degrees and counts never
+// inflate from dirty input.
 func ReadEdgeList(r io.Reader) (numVertices int, edges []Edge, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -49,6 +49,7 @@ import (
 
 	"cncount/internal/metrics"
 	"cncount/internal/sched"
+	"cncount/internal/wal"
 )
 
 // Manifest is the build/environment manifest embedded in snapshots and
@@ -87,7 +88,7 @@ type Options struct {
 	// WALStats supplies the durability log's live view for the
 	// cncd_wal_* gauge families; nil (or a false second return) omits
 	// them from /metrics.
-	WALStats func() (WALStatus, bool)
+	WALStats func() (wal.Stats, bool)
 	// StallAfter is the heartbeat age that flags a worker stalled;
 	// 0 uses DefaultStallAfter, negative disables stall detection.
 	StallAfter time.Duration

@@ -6,24 +6,6 @@ import (
 	"time"
 )
 
-// WALStatus is the durability log's live view for /metrics. The obs
-// plane does not import internal/wal; the owning command adapts
-// wal.Stats into this struct (field-for-field) so observability stays
-// decoupled from the storage layer.
-type WALStatus struct {
-	// Segments is the number of segment files, the open one included.
-	Segments int
-	// Bytes is the total size of all segments.
-	Bytes int64
-	// Appended counts batches appended through the live log.
-	Appended uint64
-	// LastSyncUnixNanos is the wall time of the last successful fsync,
-	// 0 when none has happened yet.
-	LastSyncUnixNanos int64
-	// NextSeq is the sequence number the next append will assign.
-	NextSeq uint64
-}
-
 // recovery is the plane's view of an in-progress WAL replay: /healthz
 // reports 503 with its live status line until EndRecovery, so
 // orchestrators do not route traffic at a daemon still reconciling

@@ -39,8 +39,12 @@ func TestRunTwoCliques(t *testing.T) {
 	if res.NumClusters != 2 {
 		t.Fatalf("NumClusters = %d, want 2 (%v)", res.NumClusters, res.ClusterOf)
 	}
-	if res.ClusterOf[0] != res.ClusterOf[3] || res.ClusterOf[4] != res.ClusterOf[7] {
-		t.Errorf("cliques split: %v", res.ClusterOf)
+	// Every vertex shares its clique's cluster, and the bridge never
+	// merges the two cliques.
+	for u := 0; u < 8; u++ {
+		if base := u / 4 * 4; res.ClusterOf[u] != res.ClusterOf[base] {
+			t.Errorf("clique %d split at vertex %d: %v", base/4, u, res.ClusterOf)
+		}
 	}
 	if res.ClusterOf[0] == res.ClusterOf[4] {
 		t.Errorf("cliques merged: %v", res.ClusterOf)
@@ -197,8 +201,8 @@ func TestEpsNeeded(t *testing.T) {
 }
 
 func TestFromCountsHubsAndOutliers(t *testing.T) {
-	// Two triangles joined through vertex 6, pendant 7 (same topology as
-	// the analytics test, via the scan package).
+	// Two triangles joined through vertex 6, pendant 7: at strict eps, 6 is
+	// unclustered but bridges both clusters (hub) and 7 is an outlier.
 	edges := []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5},
@@ -214,5 +218,17 @@ func TestFromCountsHubsAndOutliers(t *testing.T) {
 	}
 	if res.NumClusters != 2 || !res.Hubs[6] || !res.Outliers[7] {
 		t.Errorf("clusters=%d hubs=%v outliers=%v", res.NumClusters, res.Hubs, res.Outliers)
+	}
+	if res.ClusterOf[6] != -1 || res.ClusterOf[7] != -1 {
+		t.Errorf("hub or outlier clustered: %v", res.ClusterOf)
+	}
+	if res.Outliers[6] || res.Hubs[7] {
+		t.Errorf("hub/outlier classes overlap: hubs=%v outliers=%v", res.Hubs, res.Outliers)
+	}
+	// Clustered vertices are neither hubs nor outliers.
+	for u := 0; u < 6; u++ {
+		if res.ClusterOf[u] == -1 || res.Hubs[u] || res.Outliers[u] {
+			t.Errorf("triangle vertex %d misclassified: %v", u, res.ClusterOf)
+		}
 	}
 }

@@ -41,7 +41,6 @@ type Ingester struct {
 	opts    IngestOptions
 	seq     uint64 // last assigned sequence number (memory-only mode)
 	lastSeq uint64
-	epoch   uint64
 	batches uint64
 	ops     uint64
 	applied uint64
@@ -132,7 +131,6 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 	epoch := in.srv.SwapGraph(csr, in.opts.Name)
 
 	in.lastSeq = seq
-	in.epoch = epoch
 	in.batches++
 	in.ops += uint64(len(ops))
 	in.applied += uint64(res.Applied)
@@ -156,7 +154,9 @@ type IngestInfo struct {
 
 // Info snapshots the ingester under the write lock; every field,
 // the triangle total included, is a running value, so the lock is held
-// for O(1).
+// for O(1). The epoch is the server's own: once updates are enabled only
+// Apply swaps the graph, under the same lock, so it always names the
+// epoch the reported state is served under.
 func (in *Ingester) Info() IngestInfo {
 	in.sem <- struct{}{}
 	defer func() { <-in.sem }()
@@ -165,18 +165,9 @@ func (in *Ingester) Info() IngestInfo {
 		Ops:       in.ops,
 		Applied:   in.applied,
 		LastSeq:   in.lastSeq,
-		Epoch:     in.epoch,
+		Epoch:     in.srv.Epoch(),
 		Triangles: in.dyn.Triangles(),
 		Durable:   in.opts.WAL != nil,
 		Broken:    in.broken != nil,
 	}
-}
-
-// WALStats returns the durability log's counters, false when running
-// memory-only. Safe without the write lock: wal.Log has its own.
-func (in *Ingester) WALStats() (wal.Stats, bool) {
-	if in.opts.WAL == nil {
-		return wal.Stats{}, false
-	}
-	return in.opts.WAL.Stats(), true
 }

@@ -204,8 +204,9 @@ func TestCaptureRingSlowAndErrored(t *testing.T) {
 	if resp, _ := getWithHeaders(t, ts, fmt.Sprintf("/v1/edge?u=%d&v=%d", u, v), nil); resp.StatusCode != 200 {
 		t.Fatalf("/v1/edge = %d", resp.StatusCode)
 	}
-	if resp, _ := getWithHeaders(t, ts, "/v1/edge?u=99999999&v=1", nil); resp.StatusCode != 404 {
-		t.Fatalf("bad edge = %d, want 404", resp.StatusCode)
+	errResp, _ := getWithHeaders(t, ts, "/v1/edge?u=99999999&v=1", nil)
+	if errResp.StatusCode != 404 {
+		t.Fatalf("bad edge = %d, want 404", errResp.StatusCode)
 	}
 
 	resp, raw := getWithHeaders(t, ts, "/debug/requests.json", nil)
@@ -227,8 +228,9 @@ func TestCaptureRingSlowAndErrored(t *testing.T) {
 	if len(p.Slowest) != 2 || len(p.Errors) != 1 {
 		t.Fatalf("slowest=%d errors=%d, want 2/1", len(p.Slowest), len(p.Errors))
 	}
-	if p.Errors[0].Status != 404 || p.Errors[0].Error == "" {
-		t.Errorf("errored entry = %+v", p.Errors[0])
+	if p.Errors[0].Status != 404 || p.Errors[0].Error == "" ||
+		p.Errors[0].ID != errResp.Header.Get("X-Request-Id") {
+		t.Errorf("errored entry = %+v, want the 404 named %s", p.Errors[0], errResp.Header.Get("X-Request-Id"))
 	}
 	var count *CapturedRequest
 	for _, cr := range p.Slowest {
@@ -293,6 +295,9 @@ func TestInspectorSelfContained(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	page := string(body)
+	if !strings.Contains(page, "<title>cncd requests</title>") {
+		t.Error("inspector page has no title")
+	}
 	for _, banned := range []string{`src="http://`, `src="https://`, `href="http://`, `href="https://`} {
 		if strings.Contains(page, banned) {
 			t.Errorf("inspector references an external asset (%s)", banned)

@@ -254,11 +254,18 @@ func TestCacheHitAfterMissAndEpochInvalidation(t *testing.T) {
 		Epoch uint64 `json:"epoch"`
 		Count uint32 `json:"count"`
 	}
-	if _, hdr := getJSON(t, ts, q, &got); hdr != "MISS" || got.Epoch != 1 {
-		t.Fatalf("first query X-Cache=%q epoch=%d, want MISS epoch 1", hdr, got.Epoch)
+	var miss, hit json.RawMessage
+	if _, hdr := getJSON(t, ts, q, &miss); hdr != "MISS" {
+		t.Fatalf("first query X-Cache=%q, want MISS", hdr)
 	}
-	if _, hdr := getJSON(t, ts, q, &got); hdr != "HIT" {
+	if err := json.Unmarshal(miss, &got); err != nil || got.Epoch != 1 {
+		t.Fatalf("first query epoch=%d (err %v), want epoch 1", got.Epoch, err)
+	}
+	if _, hdr := getJSON(t, ts, q, &hit); hdr != "HIT" {
 		t.Fatalf("repeat query X-Cache=%q, want HIT", hdr)
+	}
+	if string(hit) != string(miss) {
+		t.Errorf("cached body %s differs from the computed %s", hit, miss)
 	}
 	hits, misses := s.CacheStats()
 	if hits != 1 || misses != 1 {
@@ -454,21 +461,6 @@ func TestParseAlgo(t *testing.T) {
 	}
 	if _, err := ParseAlgo("gpu"); err == nil {
 		t.Error("ParseAlgo accepted an unknown name")
-	}
-}
-
-// TestSrcOfOffset checks the binary-search FindSrc over every offset of
-// a small graph.
-func TestSrcOfOffset(t *testing.T) {
-	g := testGraph(t)
-	var off int64
-	for u := 0; u < g.NumVertices() && off < 2000; u++ {
-		for range g.Neighbors(cncount.VertexID(u)) {
-			if got := srcOfOffset(g, off); got != cncount.VertexID(u) {
-				t.Fatalf("srcOfOffset(%d) = %d, want %d", off, got, u)
-			}
-			off++
-		}
 	}
 }
 

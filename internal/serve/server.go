@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cncount"
+	"cncount/internal/graph"
 	"cncount/internal/intersect"
 	"cncount/internal/metrics"
 	"cncount/internal/obs"
@@ -628,32 +629,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request, st *graphS
 	if int64(n) > total {
 		n = int(total)
 	}
+	// Offsets ascend, the access pattern FindSrc's stash amortizes.
+	src := graph.NewSrcFinder(st.g)
 	edges := make([][2]cncount.VertexID, 0, n)
 	for i := 0; i < n; i++ {
 		off := total * int64(i) / int64(n)
-		u := srcOfOffset(st.g, off)
-		edges = append(edges, [2]cncount.VertexID{u, st.g.Dst[off]})
+		edges = append(edges, [2]cncount.VertexID{src.Find(off), st.g.Dst[off]})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(map[string]any{
 		"epoch": st.epoch, "edges": edges,
 	})
-}
-
-// srcOfOffset recovers the source vertex owning directed edge offset
-// off by binary search on the CSR offset array (the FindSrc operation
-// of Algorithm 3, without the per-worker stash).
-func srcOfOffset(g *cncount.Graph, off int64) cncount.VertexID {
-	lo, hi := 0, g.NumVertices()-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if g.Off[mid] <= off {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return cncount.VertexID(lo)
 }
 
 func deadlineErr(ctx context.Context) error {

@@ -84,6 +84,19 @@ func TestUpdateEndpointLifecycle(t *testing.T) {
 
 	enableUpdates(t, s, g, nil)
 
+	// Before the first batch the ingest section already names the epoch
+	// the server is serving.
+	var boot struct {
+		Epoch  uint64      `json:"epoch"`
+		Ingest *IngestInfo `json:"ingest"`
+	}
+	if st, _ := getJSON(t, ts, "/v1/info", &boot); st != http.StatusOK || boot.Ingest == nil {
+		t.Fatalf("info = %d ingest=%v, want 200 with ingest section", st, boot.Ingest)
+	}
+	if boot.Ingest.Epoch != boot.Epoch {
+		t.Errorf("pre-batch ingest epoch = %d, server epoch = %d", boot.Ingest.Epoch, boot.Epoch)
+	}
+
 	// GET on the update endpoint is 405 (POST-only), and the GET
 	// endpoints still reject POST.
 	if st, _ := getJSON(t, ts, "/v1/update", nil); st != http.StatusMethodNotAllowed {
