@@ -7,8 +7,8 @@ GO ?= go
 # The default verify path is `make check`: build + vet + gofmt + tests +
 # the race detector on the small-graph packages + the bench/ module. Every
 # end-to-end flow (serving, request tracing, WAL crash recovery, the
-# benchmark and report pipelines, calibration, chaos) is a Go test, so
-# `go test ./...` alone runs them all.
+# benchmark and report pipelines, chaos) is a Go test, so `go test ./...`
+# alone runs them all.
 all: check
 
 build:
@@ -28,7 +28,7 @@ test:
 # Race detection runs on the packages whose tests use small graphs; the
 # full profile-scale workloads are too slow under the race detector.
 race:
-	$(GO) test -race ./internal/core/ ./internal/adaptive/ ./internal/sched/ ./internal/gpusim/ ./internal/graph/ ./internal/scan/ ./internal/metrics/ ./internal/trace/ ./internal/obs/ ./internal/benchfmt/ ./internal/chaos/ ./internal/serve/ ./internal/reqctx/ ./internal/wal/ ./internal/dynamic/ ./cmd/cnc/ ./cmd/benchrun/ ./cmd/cncd/ ./cmd/cncload/
+	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/gpusim/ ./internal/graph/ ./internal/scan/ ./internal/metrics/ ./internal/trace/ ./internal/obs/ ./internal/benchfmt/ ./internal/chaos/ ./internal/serve/ ./internal/reqctx/ ./internal/wal/ ./internal/dynamic/ ./cmd/cnc/ ./cmd/benchrun/ ./cmd/cncd/ ./cmd/cncload/
 
 # bench/ is its own Go module (replace cncount => ../), so the root
 # `go test ./...` never compiles it: vet and test it here so a rename in

@@ -572,7 +572,7 @@ func BenchmarkCoreKernels(b *testing.B) {
 			intersect.PivotSkip(hub, leaf)
 		}
 	})
-	b.Run("BlockMerge8/skewed", func(b *testing.B) {
+	b.Run("BlockMerge/skewed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			intersect.BlockMerge(hub, leaf, 8)
 		}

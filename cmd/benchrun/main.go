@@ -9,7 +9,7 @@
 //
 //	benchrun -label local                        # run matrix, write BENCH_local.json
 //	benchrun -profiles WI,LJ -scale 0.2 -workers 1,2,4 -reps 3
-//	benchrun -algos mps,bmp,adaptive -passes 3   # interleave 3 full-matrix passes
+//	benchrun -algos mps,bmp -passes 3            # interleave 3 full-matrix passes
 //	benchrun -baseline BENCH_main.json -input BENCH_pr.json -threshold 0.10
 //	benchrun -baseline BENCH_main.json           # run matrix, diff against base
 //	benchrun -http 127.0.0.1:8080                # watch the live matrix at /dashboard
@@ -42,6 +42,7 @@ import (
 	"cncount/internal/logx"
 	"cncount/internal/metrics"
 	"cncount/internal/obs"
+	"cncount/internal/serve"
 )
 
 // appConfig mirrors the flag set so the whole run is testable without
@@ -120,7 +121,7 @@ func main() {
 	flag.StringVar(&cfg.out, "out", "", `output path (default "BENCH_<label>.json"; "-" = stdout)`)
 	flag.StringVar(&cfg.profiles, "profiles", "WI,OR", "comma-separated dataset profiles to run")
 	flag.Float64Var(&cfg.scale, "scale", 0.2, "profile scale for every graph in the matrix")
-	flag.StringVar(&cfg.algos, "algos", "mps,bmp", "comma-separated algorithms (m, mps, bmp, bmprf, adaptive)")
+	flag.StringVar(&cfg.algos, "algos", "mps,bmp", "comma-separated algorithms (m, mps, bmp, bmprf)")
 	flag.StringVar(&cfg.workers, "workers", "1,2,4", "comma-separated worker counts")
 	flag.IntVar(&cfg.reps, "reps", 3, "repetitions per cell (best is reported)")
 	flag.IntVar(&cfg.passes, "passes", 1, "full-matrix passes; each cell reports its best across passes x reps, interleaving cells across time so slow machine drift cannot bias one algorithm")
@@ -362,7 +363,7 @@ func runMatrix(ctx context.Context, cfg appConfig, out *errWriter, manifest cnco
 	}
 	algos := make([]cncount.Algorithm, len(algoNames))
 	for i, name := range algoNames {
-		if algos[i], err = parseAlgo(name); err != nil {
+		if algos[i], err = serve.ParseAlgo(name); err != nil {
 			return nil, err
 		}
 	}
@@ -617,23 +618,6 @@ func splitInts(s string) ([]int, error) {
 		out[i] = n
 	}
 	return out, nil
-}
-
-func parseAlgo(s string) (cncount.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "m", "merge":
-		return cncount.AlgoM, nil
-	case "mps":
-		return cncount.AlgoMPS, nil
-	case "bmp":
-		return cncount.AlgoBMP, nil
-	case "bmprf", "bmp-rf", "rf":
-		return cncount.AlgoBMPRF, nil
-	case "adaptive", "adapt":
-		return cncount.AlgoAdaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q: valid names are m, mps, bmp, bmprf, adaptive", s)
-	}
 }
 
 // errWriter latches the first write error so every ignored fmt.Fprintf

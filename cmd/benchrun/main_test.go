@@ -26,7 +26,7 @@ func tinyRun(out string) appConfig {
 	return appConfig{
 		label: "test", out: out,
 		profiles: "WI", scale: 0.05,
-		algos: "mps,bmp,adaptive", workers: "1,2", reps: 1,
+		algos: "mps,bmp", workers: "1,2", reps: 1,
 		threshold: 0.10,
 	}
 }
@@ -59,8 +59,8 @@ func TestRunWritesSchemaVersionedReport(t *testing.T) {
 	if rep.Schema != benchfmt.Schema || rep.Label != "test" {
 		t.Errorf("header = %q/%q", rep.Schema, rep.Label)
 	}
-	if len(rep.Results) != 6 { // 1 profile × 3 algos × 2 worker counts
-		t.Fatalf("results = %d, want 6", len(rep.Results))
+	if len(rep.Results) != 4 { // 1 profile × 2 algos × 2 worker counts
+		t.Fatalf("results = %d, want 4", len(rep.Results))
 	}
 	seen := map[benchfmt.Key]bool{}
 	for _, r := range rep.Results {
@@ -75,7 +75,7 @@ func TestRunWritesSchemaVersionedReport(t *testing.T) {
 			t.Errorf("%v: counters not captured", r.Key())
 		}
 	}
-	if len(seen) != 6 {
+	if len(seen) != 4 {
 		t.Errorf("duplicate cells: %v", seen)
 	}
 	if rep.Manifest == nil {
@@ -146,8 +146,8 @@ func TestRunEmitsJSONHeartbeats(t *testing.T) {
 			}
 		}
 	}
-	if started != 6 {
-		t.Errorf("started events = %d, want 6", started)
+	if started != 4 {
+		t.Errorf("started events = %d, want 4", started)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestRunMultiPassMergesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 6 { // 1 profile × 3 algos × 2 worker counts, merged
-		t.Fatalf("results = %d, want 6 merged cells", len(rep.Results))
+	if len(rep.Results) != 4 { // 1 profile × 2 algos × 2 worker counts, merged
+		t.Fatalf("results = %d, want 4 merged cells", len(rep.Results))
 	}
 	seen := map[benchfmt.Key]bool{}
 	for _, r := range rep.Results {
@@ -344,8 +344,8 @@ func TestRunCellTimeoutRecordsFailedCells(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "cells failed") {
 		t.Fatalf("run err = %v, want failed-cell verdict\n%s", err, buf.String())
 	}
-	if !strings.Contains(err.Error(), "6 of 6") {
-		t.Errorf("verdict = %v, want all 6 cells failed", err)
+	if !strings.Contains(err.Error(), "4 of 4") {
+		t.Errorf("verdict = %v, want all 4 cells failed", err)
 	}
 	if !strings.Contains(logBuf.String(), "retrying once") {
 		t.Errorf("retry heartbeat missing:\n%s", logBuf.String())
@@ -355,8 +355,8 @@ func TestRunCellTimeoutRecordsFailedCells(t *testing.T) {
 	if lerr != nil {
 		t.Fatalf("failed-cell report not written: %v", lerr)
 	}
-	if len(rep.Results) != 6 {
-		t.Fatalf("results = %d, want all 6 cells recorded", len(rep.Results))
+	if len(rep.Results) != 4 {
+		t.Fatalf("results = %d, want all 4 cells recorded", len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if !r.Failed {
@@ -453,7 +453,7 @@ func TestRetrySurvivingAttemptOnlySampleSet(t *testing.T) {
 		return appConfig{
 			label: "retry", out: out,
 			profiles: "WI", scale: 0.05,
-			algos: "adaptive", workers: "2", reps: 2,
+			algos: "bmp", workers: "2", reps: 2,
 			threshold: 0.10,
 		}
 	}

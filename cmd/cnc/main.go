@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 	"cncount"
 	"cncount/internal/logx"
 	"cncount/internal/obs"
+	"cncount/internal/serve"
 )
 
 // appConfig mirrors the flag set so the whole run is testable without
@@ -50,7 +50,6 @@ type appConfig struct {
 	profile    string
 	scale      float64
 	algoName   string
-	calibrate  bool
 	threads    int
 	taskSize   int
 	lanes      int
@@ -83,8 +82,7 @@ func main() {
 	flag.StringVar(&cfg.graphPath, "graph", "", "graph file (text edge list, or binary CSR with .bin)")
 	flag.StringVar(&cfg.profile, "profile", "", "generate a dataset profile instead: "+strings.Join(cncount.ProfileNames(), ", "))
 	flag.Float64Var(&cfg.scale, "scale", 1.0, "profile scale (1.0 ≈ 1/1000 of the paper's dataset)")
-	flag.StringVar(&cfg.algoName, "algo", "bmp", "algorithm: m, mps, bmp, bmprf, adaptive")
-	flag.BoolVar(&cfg.calibrate, "calibrate", false, "measure the adaptive kernel crossover table on this host and print it as JSON; with -algo adaptive the run uses the measured table (standalone -calibrate just prints it)")
+	flag.StringVar(&cfg.algoName, "algo", "bmp", "algorithm: m, mps, bmp, bmprf (adaptive is accepted as bmp)")
 	flag.IntVar(&cfg.threads, "threads", 0, "worker count (0 = all cores, 1 = sequential)")
 	flag.IntVar(&cfg.taskSize, "tasksize", 0, "edge offsets per scheduled task (0 = default)")
 	flag.IntVar(&cfg.lanes, "lanes", 0, "block-merge lane width (0 = default 8)")
@@ -105,7 +103,7 @@ func main() {
 	flag.StringVar(&cfg.bundleDir, "bundledir", "", "directory for the watchdog's diagnostic bundle (default: a fresh temp dir)")
 	flag.Parse()
 
-	if cfg.graphPath == "" && cfg.profile == "" && !cfg.calibrate {
+	if cfg.graphPath == "" && cfg.profile == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -240,34 +238,11 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 		defer wd.Stop()
 	}
 
-	// -calibrate measures the adaptive crossover table up front and prints
-	// it; a run with -algo adaptive then counts with the measured table
-	// instead of the deterministic default. Standalone -calibrate (no graph
-	// or profile) stops after printing.
-	var calib *cncount.CalibrationTable
-	if cfg.calibrate {
-		stop := mc.StartPhase("calibrate")
-		table, err := cncount.Calibrate()
-		stop()
-		if err != nil {
-			return err
-		}
-		calib = table
-		b, err := json.MarshalIndent(table, "", "  ")
-		if err != nil {
-			return err
-		}
-		out.Write(append(b, '\n'))
-		if cfg.graphPath == "" && cfg.profile == "" {
-			return out.err
-		}
-	}
-
 	g, name, err := loadOrGenerate(cfg.graphPath, cfg.profile, cfg.scale, mc, tr)
 	if err != nil {
 		return err
 	}
-	algo, err := parseAlgo(cfg.algoName)
+	algo, err := serve.ParseAlgo(cfg.algoName)
 	if err != nil {
 		return err
 	}
@@ -285,7 +260,6 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 		Lanes:             cfg.lanes,
 		SkewThreshold:     cfg.skew,
 		RangeScale:        cfg.rangeScale,
-		Calibration:       calib,
 		Reorder:           cfg.reorder,
 		CollectWork:       cfg.work,
 		Metrics:           mc,
@@ -332,11 +306,6 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 		proc, err := parseProcessor(cfg.processor)
 		if err != nil {
 			return err
-		}
-		if proc == cncount.ProcGPU && algo == cncount.AlgoAdaptive {
-			// The GPU model runs the paper's fixed-kernel passes; the
-			// per-edge host dispatcher has no GPU counterpart to model.
-			return fmt.Errorf("the gpu model does not support -algo adaptive (use mps, bmp or bmprf)")
 		}
 		sim, err := cncount.Simulate(g, cncount.SimOptions{
 			Processor:    proc,
@@ -407,9 +376,6 @@ func (cfg appConfig) resolvedConfig() map[string]string {
 	}
 	if cfg.processor != "" {
 		m["processor"] = cfg.processor
-	}
-	if cfg.calibrate {
-		m["calibrate"] = "true"
 	}
 	return m
 }
@@ -492,23 +458,6 @@ func loadOrGenerate(path, profile string, scale float64, mc *cncount.Metrics, tr
 		return g, profile, err
 	default:
 		return nil, "", errors.New("pass -graph or -profile")
-	}
-}
-
-func parseAlgo(s string) (cncount.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "m", "merge":
-		return cncount.AlgoM, nil
-	case "mps":
-		return cncount.AlgoMPS, nil
-	case "bmp":
-		return cncount.AlgoBMP, nil
-	case "bmprf", "bmp-rf", "rf":
-		return cncount.AlgoBMPRF, nil
-	case "adaptive", "adapt":
-		return cncount.AlgoAdaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q: valid names are m, mps, bmp, bmprf, adaptive", s)
 	}
 }
 

@@ -21,35 +21,6 @@ import (
 	"cncount/internal/trace"
 )
 
-func TestParseAlgo(t *testing.T) {
-	cases := map[string]cncount.Algorithm{
-		"m": cncount.AlgoM, "merge": cncount.AlgoM,
-		"mps": cncount.AlgoMPS, "MPS": cncount.AlgoMPS,
-		"bmp":   cncount.AlgoBMP,
-		"bmprf": cncount.AlgoBMPRF, "bmp-rf": cncount.AlgoBMPRF, "rf": cncount.AlgoBMPRF,
-		"adaptive": cncount.AlgoAdaptive, "adapt": cncount.AlgoAdaptive,
-	}
-	for in, want := range cases {
-		got, err := parseAlgo(in)
-		if err != nil {
-			t.Errorf("parseAlgo(%q): %v", in, err)
-		}
-		if got != want {
-			t.Errorf("parseAlgo(%q) = %v, want %v", in, got, want)
-		}
-	}
-	_, err := parseAlgo("quantum")
-	if err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	// The rejection must list every valid name so the user can self-serve.
-	for _, name := range []string{"m", "mps", "bmp", "bmprf", "adaptive"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list valid name %q", err, name)
-		}
-	}
-}
-
 func TestParseProcessor(t *testing.T) {
 	cases := map[string]cncount.Processor{
 		"cpu": cncount.ProcCPU, "KNL": cncount.ProcKNL, "gpu": cncount.ProcGPU,
@@ -245,46 +216,6 @@ func TestRunTraceFileCreateErrorExitsNonZero(t *testing.T) {
 	cfg.traceOut = filepath.Join(t.TempDir(), "missing-dir", "out.json")
 	if err := run(context.Background(), cfg, io.Discard); err == nil {
 		t.Error("unwritable trace path did not fail the run")
-	}
-}
-
-// TestRunCalibrateStandalone drives `cnc -calibrate` with no graph or
-// profile: it must print a parseable crossover table that passes the same
-// validation gate the dispatcher applies, then stop.
-func TestRunCalibrateStandalone(t *testing.T) {
-	cfg := appConfig{calibrate: true}
-	var buf bytes.Buffer
-	if err := run(context.Background(), cfg, &buf); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
-	}
-	var table cncount.CalibrationTable
-	if err := json.Unmarshal(buf.Bytes(), &table); err != nil {
-		t.Fatalf("-calibrate output is not a JSON table: %v\n%s", err, buf.String())
-	}
-	if err := table.Validate(); err != nil {
-		t.Fatalf("printed table fails validation: %v", err)
-	}
-	if table.Source != "calibrated" {
-		t.Errorf("table source = %q, want calibrated", table.Source)
-	}
-}
-
-// TestRunCalibrateWithAdaptiveRun: -calibrate combined with a profile and
-// -algo adaptive must count with the measured table and pass -verify.
-func TestRunCalibrateWithAdaptiveRun(t *testing.T) {
-	cfg := smallRun()
-	cfg.algoName = "adaptive"
-	cfg.calibrate = true
-	cfg.verify = true
-	var buf bytes.Buffer
-	if err := run(context.Background(), cfg, &buf); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "verify: counts match") {
-		t.Errorf("verify success not reported:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), `"source": "calibrated"`) {
-		t.Errorf("calibrated table not printed:\n%s", buf.String())
 	}
 }
 

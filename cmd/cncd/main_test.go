@@ -330,8 +330,27 @@ func TestDaemonAdmission429E2E(t *testing.T) {
 		countDone <- err
 	}()
 
-	// While it runs, everything else must bounce with 429.
+	// Wait until the recount holds the slot: the obs plane is not
+	// admission-controlled, and the recount marks /progress active only
+	// from inside its admitted region. Polling /v1/info before then could
+	// take the slot first and turn the recount away instead.
 	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, _, body := get(t, base+"/progress")
+		var prog struct {
+			Active bool `json:"active"`
+		}
+		if json.Unmarshal([]byte(body), &prog) == nil && prog.Active {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recount never became active on /progress:\n%s", out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// While it runs, everything else must bounce with 429.
+	deadline = time.Now().Add(30 * time.Second)
 	saw429 := false
 	for !saw429 && time.Now().Before(deadline) {
 		status, hdr, _ := get(t, base+"/v1/info")

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cncount/internal/adaptive"
 	"cncount/internal/core"
 	"cncount/internal/gen"
 	"cncount/internal/graph"
@@ -194,35 +193,13 @@ type Algorithm = core.Algorithm
 
 // The counting algorithms: the paper's baseline merge M, the combined
 // merge-with-pivot-skip MPS (Algorithm 1), the dynamic bitmap index BMP
-// (Algorithm 2), BMP with range filtering, and the per-edge adaptive
-// dispatcher ADAPT, which picks one of five kernels per edge from a
-// (min-degree, degree-ratio) crossover table (see Options.Calibration).
+// (Algorithm 2), and BMP with range filtering.
 const (
-	AlgoM        = core.AlgoM
-	AlgoMPS      = core.AlgoMPS
-	AlgoBMP      = core.AlgoBMP
-	AlgoBMPRF    = core.AlgoBMPRF
-	AlgoAdaptive = core.AlgoAdaptive
+	AlgoM     = core.AlgoM
+	AlgoMPS   = core.AlgoMPS
+	AlgoBMP   = core.AlgoBMP
+	AlgoBMPRF = core.AlgoBMPRF
 )
-
-// CalibrationTable is AlgoAdaptive's crossover table: for each (min-degree,
-// degree-ratio) bucket, the intersection kernel to run. Obtain one from
-// DefaultCalibration (deterministic) or Calibrate (host-measured); the
-// table serializes to JSON with kernel names, the format `cnc -calibrate`
-// prints.
-type CalibrationTable = adaptive.Table
-
-// DefaultCalibration returns the deterministic built-in crossover table —
-// the table AlgoAdaptive uses when Options.Calibration is nil, chosen so
-// runs are reproducible without a calibration pass.
-func DefaultCalibration() *CalibrationTable { return adaptive.Default() }
-
-// Calibrate measures the kernel crossover points on this host: it times
-// merge, block-merge, gallop, hash-probe and bitmap-probe kernels on
-// synthetic sorted lists at each (min-degree, degree-ratio) bucket and
-// returns the table of winners, smoothed to monotone crossovers. It runs
-// in well under a second; pass the result via Options.Calibration.
-func Calibrate() (*CalibrationTable, error) { return adaptive.Calibrate(adaptive.Options{}) }
 
 // Algorithms lists all algorithms in presentation order.
 var Algorithms = core.Algorithms
@@ -264,11 +241,6 @@ type Options struct {
 
 	// RangeScale is the RF bitmap-to-filter size ratio; <= 0 uses 4096.
 	RangeScale int
-
-	// Calibration is AlgoAdaptive's kernel crossover table; nil uses
-	// DefaultCalibration(). Produce a host-measured table with Calibrate.
-	// Ignored by the other algorithms.
-	Calibration *CalibrationTable
 
 	// Reorder relabels vertices in degree-descending order before counting
 	// and maps the counts back, giving the bitmap algorithms their
@@ -329,7 +301,6 @@ func Count(g *Graph, opts Options) (*Result, error) {
 		SkewThreshold:     opts.SkewThreshold,
 		Lanes:             opts.Lanes,
 		RangeScale:        opts.RangeScale,
-		Calibration:       opts.Calibration,
 		CollectWork:       opts.CollectWork,
 		Metrics:           opts.Metrics,
 		Trace:             opts.Trace,

@@ -1,8 +1,12 @@
 package cncount
 
 import (
+	"context"
+	"errors"
+	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"cncount/internal/verify"
 )
@@ -103,6 +107,84 @@ func TestReorderByDegreeFacade(t *testing.T) {
 	if err := verify.CheckCounts(g, mapped); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCountCanceledReorderedMapsPartialCounts cancels a reordered run
+// mid-count and checks its partial counts come back at the original
+// graph's edge offsets: every entry is either 0 (not reached before the
+// cancel) or the full run's count at that offset.
+func TestCountCanceledReorderedMapsPartialCounts(t *testing.T) {
+	// A uniform random graph: reordering by degree relabels nearly every
+	// vertex, so an unmapped partial array lands on the wrong offsets. The
+	// instrumented merge at task size 1 keeps the region tens of ms long.
+	rng := rand.New(rand.NewSource(11))
+	edges := make([]Edge, 60000)
+	for i := range edges {
+		edges[i] = Edge{U: VertexID(rng.Intn(2000)), V: VertexID(rng.Intn(2000))}
+	}
+	g, err := NewGraph(2000, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Algorithm: AlgoM, Reorder: true, Threads: 4, TaskSize: 1, CollectWork: true}
+	full, err := Count(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancel once a tenth of the offsets are done, so the partial array
+	// holds many counts. A run that drains the range before the flag
+	// lands legitimately succeeds, so retry until one attempt is caught
+	// mid-run.
+	for attempt := 0; attempt < 50; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		prog := NewProgress()
+		done := make(chan struct{})
+		go func() {
+			defer cancel()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if s := prog.Sample(); s.Active && s.DoneUnits >= g.NumEdges()/10 {
+					return
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+		o := opts
+		o.Context, o.Progress = ctx, prog
+		_, err := Count(g, o)
+		close(done)
+		if err == nil {
+			cancel()
+			continue
+		}
+		var ce *CanceledError
+		if !errors.As(err, &ce) || ce.Partial == nil {
+			t.Fatalf("err = %v, want *CanceledError with a partial result", err)
+		}
+		if int64(len(ce.Partial.Counts)) != g.NumEdges() {
+			t.Fatalf("partial counts len %d, want %d", len(ce.Partial.Counts), g.NumEdges())
+		}
+		nonzero := 0
+		for e, c := range ce.Partial.Counts {
+			if c == 0 {
+				continue
+			}
+			if c != full.Counts[e] {
+				t.Fatalf("partial cnt[%d] = %d, want 0 or the full run's %d", e, c, full.Counts[e])
+			}
+			nonzero++
+		}
+		if nonzero == 0 {
+			t.Fatal("canceled run mapped back no nonzero counts")
+		}
+		return
+	}
+	t.Fatal("no attempt was caught mid-run in 50 tries")
 }
 
 func TestSimulateAllProcessors(t *testing.T) {

@@ -51,12 +51,6 @@ func TestEndToEndAllAlgorithmsAllProcessors(t *testing.T) {
 			if proc == cncount.ProcKNL {
 				modes = []cncount.MemoryMode{cncount.ModeDDR, cncount.ModeFlat, cncount.ModeCache}
 			}
-			if proc == cncount.ProcGPU && algo == cncount.AlgoAdaptive {
-				// The GPU model runs the paper's fixed-kernel passes; the
-				// per-edge adaptive dispatcher is host/CPU/KNL-only and cnc
-				// rejects the combination up front.
-				continue
-			}
 			for _, mode := range modes {
 				for _, cp := range []bool{false, true} {
 					if proc != cncount.ProcGPU && cp {

@@ -59,9 +59,7 @@ func WorkingSet(g *graph.CSR, opts core.Options, cfg RunConfig, res *core.Result
 	}
 	numV := uint32(g.NumVertices())
 	switch opts.Algorithm {
-	case core.AlgoBMP, core.AlgoAdaptive:
-		// The adaptive dispatcher's random set is dominated by the same
-		// per-thread bitmap BMP carries; its O(d_u) hash tables are noise.
+	case core.AlgoBMP:
 		bm, _ := bitmap.MemoryFootprint(numV, 0)
 		return bm * int64(threads)
 	case core.AlgoBMPRF:

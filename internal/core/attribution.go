@@ -1,107 +1,84 @@
 package core
 
 import (
-	"cncount/internal/adaptive"
+	"math/bits"
+
 	"cncount/internal/graph"
 	"cncount/internal/metrics"
 )
 
 // attrSampleEvery is the per-bucket sampling stride of the attribution
 // timing: within each degree bucket, every 256th kernel call is timed
-// with a time.Now pair. The stride is keyed on the bucket — not the
-// kernel — because under AlgoAdaptive the kernel identity is only known
-// after dispatch, while the time-this-call decision must be made before
-// it. Power of two so the stride test is a mask.
+// with a time.Now pair. Power of two so the stride test is a mask.
 const attrSampleEvery = 256
 
-// attrBuckets bounds the degree-bucket axis: adaptive.DegLen is the bit
+// attrBuckets bounds the degree-bucket axis: degLens holds the bit
 // length of an int64 degree, 1..64, indexed directly.
 const attrBuckets = 65
 
-// attrCell is one (kernel × degree-bucket) accumulator.
+// attrCell is one degree-bucket accumulator.
 type attrCell struct {
 	count        uint64
 	sampledNanos uint64
 	samples      uint64
 }
 
-// attrMatrix is one worker's attribution state: a cells[kernel][bucket]
-// matrix plus the per-bucket sampling trigger. Each worker owns a
-// separately allocated matrix, so per-edge writes never share cache
-// lines across workers.
-type attrMatrix struct {
-	cells [][attrBuckets]attrCell
-	seen  [attrBuckets]uint64
-}
+// attrRow is one worker's attribution state, one cell per degree bucket.
+// Each worker owns a separately allocated row, so per-edge writes never
+// share cache lines across workers.
+type attrRow [attrBuckets]attrCell
 
-func newAttrMatrix(kernels int) *attrMatrix {
-	return &attrMatrix{cells: make([][attrBuckets]attrCell, kernels)}
-}
-
-// attrKernelNames returns the attribution row labels of an algorithm:
-// the five dispatchable kernel families for AlgoAdaptive (row index ==
-// adaptive.Kernel), one fixed row otherwise.
-func attrKernelNames(alg Algorithm) []string {
+// attrKernelName returns the attribution row label of an algorithm.
+func attrKernelName(alg Algorithm) string {
 	switch alg {
-	case AlgoAdaptive:
-		names := make([]string, adaptive.NumKernels)
-		for k := range names {
-			names[k] = adaptive.Kernel(k).String()
-		}
-		return names
 	case AlgoM:
-		return []string{"merge"}
+		return "merge"
 	case AlgoMPS:
-		return []string{"mps"}
+		return "mps"
 	case AlgoBMP:
-		return []string{"bitmap"}
+		return "bitmap"
 	case AlgoBMPRF:
-		return []string{"bitmap-rf"}
+		return "bitmap-rf"
 	}
-	return []string{alg.String()}
+	return alg.String()
 }
 
-// degLens precomputes every vertex's degree bit length (the same O(V)
-// setup pass the adaptive dispatcher performs), so the per-edge bucket
-// is two one-byte loads and a compare.
+// degLens precomputes every vertex's degree bit length in one O(V) setup
+// pass, so the per-edge bucket is two one-byte loads and a compare.
+// Degrees < 1 count as 1: an empty side makes every kernel return 0.
 func degLens(g *graph.CSR) []uint8 {
 	lens := make([]uint8, g.NumVertices())
 	for u := range lens {
-		lens[u] = uint8(adaptive.DegLen(g.Degree(uint32(u))))
+		lens[u] = uint8(bits.Len64(uint64(max(g.Degree(uint32(u)), 1))))
 	}
 	return lens
 }
 
-// foldAttribution sums the per-worker matrices into metrics rows, one
-// per kernel that ran, with empty buckets omitted and the rest ordered
-// by ascending MinDegLen.
+// foldAttribution sums the per-worker rows into one metrics row for the
+// kernel that ran, with empty buckets omitted and the rest ordered by
+// ascending MinDegLen.
 func foldAttribution(alg Algorithm, contexts []workerCtx) []metrics.KernelAttr {
 	if len(contexts) == 0 || contexts[0].attr == nil {
 		return nil
 	}
-	names := attrKernelNames(alg)
-	rows := make([]metrics.KernelAttr, 0, len(names))
-	for k, name := range names {
-		row := metrics.KernelAttr{Scope: "core.count", Kernel: name}
-		for b := 0; b < attrBuckets; b++ {
-			var cell attrCell
-			for i := range contexts {
-				c := &contexts[i].attr.cells[k][b]
-				cell.count += c.count
-				cell.sampledNanos += c.sampledNanos
-				cell.samples += c.samples
-			}
-			if cell.count == 0 {
-				continue
-			}
-			row.Buckets = append(row.Buckets, metrics.AttrBucket{
-				MinDegLen:    b,
-				Count:        cell.count,
-				SampledNanos: cell.sampledNanos,
-				Samples:      cell.samples,
-			})
+	row := metrics.KernelAttr{Scope: "core.count", Kernel: attrKernelName(alg)}
+	for b := 0; b < attrBuckets; b++ {
+		var cell attrCell
+		for i := range contexts {
+			c := &contexts[i].attr[b]
+			cell.count += c.count
+			cell.sampledNanos += c.sampledNanos
+			cell.samples += c.samples
 		}
-		rows = append(rows, row)
+		if cell.count == 0 {
+			continue
+		}
+		row.Buckets = append(row.Buckets, metrics.AttrBucket{
+			MinDegLen:    b,
+			Count:        cell.count,
+			SampledNanos: cell.sampledNanos,
+			Samples:      cell.samples,
+		})
 	}
-	return rows
+	return []metrics.KernelAttr{row}
 }

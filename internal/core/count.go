@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"cncount/internal/adaptive"
 	"cncount/internal/bitmap"
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
@@ -57,30 +56,14 @@ type workerCtx struct {
 	finder *graph.SrcFinder
 	bm     *bitmap.Bitmap
 	rf     *bitmap.RangeFiltered
-	hash   *intersect.HashIndex
 	pu     int64 // last vertex whose neighbors the bitmap indexes; -1 = none
-	hu     int64 // last vertex whose neighbors the hash index holds; -1 = none
-	// fastSrcs counts the adaptive dispatcher's fast-path sources seen,
-	// driving the once-per-fastSampleSrcs timing sample of the bitmap
-	// probe (adaptive.go).
-	fastSrcs uint64
-	work     stats.Work
+	work   stats.Work
 	// kernelCalls counts intersections this worker computed (edges with
 	// u < v); tallied only when Options.Metrics is set.
 	kernelCalls uint64
-	// Adaptive dispatch tallies (AlgoAdaptive only): kernelSel counts
-	// selections per kernel family; the sample fields hold the sampled
-	// per-kernel timing described in adaptive.go.
-	kernelSel         [adaptive.NumKernels]uint64
-	kernelSampleNanos [adaptive.NumKernels]uint64
-	kernelSamples     [adaptive.NumKernels]uint64
-	// lastKernel is the kernel family the worker's most recent adaptive
-	// dispatch executed (a plain store in the dispatch closure), read by
-	// the metered body to resolve the attribution row after the call.
-	lastKernel uint8
-	// attr is the worker's (kernel × degree-bucket) attribution matrix;
-	// nil unless Options.Metrics is set.
-	attr *attrMatrix
+	// attr is the worker's per-degree-bucket attribution row; nil unless
+	// Options.Metrics is set.
+	attr *attrRow
 	// pad prevents false sharing between adjacent worker contexts in the
 	// contexts slice when workers write their work tallies.
 	_ [64]byte
@@ -132,25 +115,17 @@ func Count(g *graph.CSR, opts Options) (*Result, error) {
 	counts := make([]uint32, numEdges)
 	contexts := make([]workerCtx, opts.Threads)
 	numV := uint32(g.NumVertices())
-	numAttrKernels := len(attrKernelNames(opts.Algorithm))
 	for i := range contexts {
 		contexts[i].finder = graph.NewSrcFinder(g)
 		contexts[i].pu = -1
-		contexts[i].hu = -1
 		if mc.Enabled() {
-			contexts[i].attr = newAttrMatrix(numAttrKernels)
+			contexts[i].attr = new(attrRow)
 		}
 		switch opts.Algorithm {
 		case AlgoBMP:
 			contexts[i].bm = bitmap.New(numV)
 		case AlgoBMPRF:
 			contexts[i].rf = bitmap.NewRangeFiltered(numV, opts.RangeScale)
-		case AlgoAdaptive:
-			// The dispatcher may pick the bitmap or hash probe for any
-			// edge, so both indexes exist up front; the hash table starts
-			// minimal and grows to the largest indexed neighbor list.
-			contexts[i].bm = bitmap.New(numV)
-			contexts[i].hash = intersect.NewHashIndex(0)
 		}
 	}
 	stopSetupSpan()
@@ -206,9 +181,6 @@ func Count(g *graph.CSR, opts Options) (*Result, error) {
 		mc.Add("core.edges_scanned", uint64(numEdges))
 		mc.Add("core.kernel_calls_"+opts.Algorithm.String(), kernels)
 		mc.Add("core.symmetric_assignments", kernels)
-		if opts.Algorithm == AlgoAdaptive {
-			addAdaptiveCounters(mc, contexts)
-		}
 		mc.RecordKernelAttr(foldAttribution(opts.Algorithm, contexts))
 	}
 	stopReduceSpan()
@@ -230,10 +202,7 @@ func Count(g *graph.CSR, opts Options) (*Result, error) {
 func indexBytes(o Options, n int64) int64 {
 	words := func(bits int64) int64 { return (bits + 63) / 64 }
 	switch o.Algorithm {
-	case AlgoBMP, AlgoAdaptive:
-		// Adaptive carries the same per-worker bitmap as BMP; its hash
-		// index grows only to the largest indexed neighbor list, which is
-		// noise next to the |V|-bit bitmap.
+	case AlgoBMP:
 		return int64(o.Threads) * words(n) * 8
 	case AlgoBMPRF:
 		ranges := (n + int64(o.RangeScale) - 1) / int64(o.RangeScale)
@@ -249,9 +218,9 @@ func indexBytes(o Options, n int64) int64 {
 // count when u < v, and symmetrically assign it to the reverse offset.
 //
 // With Options.Metrics set the loop additionally attributes every kernel
-// call to its (kernel × min-degree-bucket) cell and samples its wall time
-// once per attrSampleEvery bucket hits; the unmetered loop is returned as
-// a separate closure so the disabled path keeps the uninstrumented body.
+// call to its min-degree bucket and samples its wall time once per
+// attrSampleEvery bucket hits; the unmetered loop is returned as a
+// separate closure so the disabled path keeps the uninstrumented body.
 func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options) func(int, int64, int64) {
 	kernel := makeKernel(g, contexts, opts)
 	collect := opts.CollectWork
@@ -282,13 +251,8 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 			}
 		}
 	}
-	// Metered body: same loop plus attribution. The degree-bucket lens
-	// array mirrors the adaptive dispatcher's precompute; under
-	// AlgoAdaptive the row is resolved after the call from the kernel the
-	// dispatch actually executed (ctx.lastKernel), since fast paths and
-	// table picks diverge.
+	// Metered body: same loop plus attribution.
 	lens := degLens(g)
-	adaptiveRows := opts.Algorithm == AlgoAdaptive
 	return func(worker int, lo, hi int64) {
 		ctx := &contexts[worker]
 		attr := ctx.attr
@@ -308,27 +272,16 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 			if l := lens[v]; l < bkt {
 				bkt = l
 			}
-			attr.seen[bkt]++
+			cell := &attr[bkt]
+			cell.count++
 			var c uint32
-			if attr.seen[bkt]&(attrSampleEvery-1) == 1 {
+			if cell.count&(attrSampleEvery-1) == 1 {
 				start := time.Now()
 				c = kernel(ctx, u, v)
-				d := uint64(time.Since(start))
-				row := 0
-				if adaptiveRows {
-					row = int(ctx.lastKernel)
-				}
-				cell := &attr.cells[row][bkt]
-				cell.count++
-				cell.sampledNanos += d
+				cell.sampledNanos += uint64(time.Since(start))
 				cell.samples++
 			} else {
 				c = kernel(ctx, u, v)
-				row := 0
-				if adaptiveRows {
-					row = int(ctx.lastKernel)
-				}
-				attr.cells[row][bkt].count++
 			}
 			counts[e] = c
 			rev, ok := g.EdgeOffset(v, u)
@@ -370,8 +323,13 @@ func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCt
 				return intersect.BitmapStats(ctx.bm, g.Neighbors(v), &ctx.work)
 			}
 		}
+		// Consecutive edges mostly share their source, so the warm-source
+		// test runs inline and the refresh call is paid only when the
+		// source changes.
 		return func(ctx *workerCtx, u, v uint32) uint32 {
-			refreshBitmap(g, ctx, u, false)
+			if ctx.pu != int64(u) {
+				refreshBitmap(g, ctx, u, false)
+			}
 			return intersect.Bitmap(ctx.bm, g.Neighbors(v))
 		}
 
@@ -386,9 +344,6 @@ func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCt
 			refreshRF(g, ctx, u, false)
 			return intersect.BitmapRF(ctx.rf, g.Neighbors(v))
 		}
-
-	case AlgoAdaptive:
-		return makeAdaptiveKernel(g, opts)
 	}
 	panic("core: unreachable: options validated")
 }

@@ -292,7 +292,7 @@ func TestCountCompleteGraph(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	want := map[Algorithm]string{AlgoM: "M", AlgoMPS: "MPS", AlgoBMP: "BMP", AlgoBMPRF: "BMP-RF", AlgoAdaptive: "ADAPT"}
+	want := map[Algorithm]string{AlgoM: "M", AlgoMPS: "MPS", AlgoBMP: "BMP", AlgoBMPRF: "BMP-RF"}
 	for a, s := range want {
 		if a.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), s)
@@ -307,27 +307,45 @@ func TestAlgorithmString(t *testing.T) {
 // task size over many workers on one physical core — and asserts the
 // symmetric assignment cnt[e(u,v)] == cnt[e(v,u)] still holds with exact
 // counts. Run with -race this pins that steal-migrated edge ranges never
-// double-write or skip the reverse offset.
+// double-write or skip the reverse offset. The degree-reordered profiles
+// add skewed inputs whose hubs span many stolen tasks, so BMP's inline
+// warm-source check must notice every source change a steal brings.
 func TestCountSymmetryUnderStealing(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoMPS, AlgoBMP} {
-		g := randomGraph(t, 7, 300, 3000)
-		res, err := Count(g, Options{Algorithm: algo, Threads: 8, TaskSize: 16})
+	type input struct {
+		name     string
+		g        *graph.CSR
+		taskSize int
+	}
+	inputs := []input{{"random", randomGraph(t, 7, 300, 3000), 16}}
+	for _, p := range gen.Profiles {
+		g0, err := p.Generate(0.05)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if err := verify.CheckCounts(g, res.Counts); err != nil {
-			t.Fatalf("%s under stealing: %v", algo, err)
-		}
-		for u := 0; u < g.NumVertices(); u++ {
-			for i := g.Off[u]; i < g.Off[u+1]; i++ {
-				v := g.Dst[i]
-				rev, ok := g.EdgeOffset(v, graph.VertexID(u))
-				if !ok {
-					t.Fatalf("missing reverse edge (%d,%d)", v, u)
-				}
-				if res.Counts[i] != res.Counts[rev] {
-					t.Fatalf("%s: cnt[e(%d,%d)]=%d != cnt[e(%d,%d)]=%d",
-						algo, u, v, res.Counts[i], v, u, res.Counts[rev])
+		g, _ := graph.ReorderByDegree(g0)
+		inputs = append(inputs, input{p.Name, g, 32})
+	}
+	for _, in := range inputs {
+		g := in.g
+		for _, algo := range []Algorithm{AlgoMPS, AlgoBMP} {
+			res, err := Count(g, Options{Algorithm: algo, Threads: 8, TaskSize: in.taskSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verify.CheckCounts(g, res.Counts); err != nil {
+				t.Fatalf("%s/%s under stealing: %v", in.name, algo, err)
+			}
+			for u := 0; u < g.NumVertices(); u++ {
+				for i := g.Off[u]; i < g.Off[u+1]; i++ {
+					v := g.Dst[i]
+					rev, ok := g.EdgeOffset(v, graph.VertexID(u))
+					if !ok {
+						t.Fatalf("%s: missing reverse edge (%d,%d)", in.name, v, u)
+					}
+					if res.Counts[i] != res.Counts[rev] {
+						t.Fatalf("%s/%s: cnt[e(%d,%d)]=%d != cnt[e(%d,%d)]=%d",
+							in.name, algo, u, v, res.Counts[i], v, u, res.Counts[rev])
+					}
 				}
 			}
 		}

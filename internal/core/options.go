@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 
-	"cncount/internal/adaptive"
 	"cncount/internal/bitmap"
 	"cncount/internal/intersect"
 	"cncount/internal/metrics"
@@ -43,11 +42,6 @@ const (
 	AlgoBMP
 	// AlgoBMPRF is BMP with the bitmap range filtering optimization.
 	AlgoBMPRF
-	// AlgoAdaptive picks the intersection kernel per edge from a crossover
-	// table keyed by (min-degree, degree-ratio) buckets — merge, block
-	// merge, gallop, hash probe, or bitmap probe — reusing the per-worker
-	// hash index and thread-local bitmap that Algorithm 3 maintains.
-	AlgoAdaptive
 )
 
 // String returns the paper's name for the algorithm.
@@ -61,15 +55,13 @@ func (a Algorithm) String() string {
 		return "BMP"
 	case AlgoBMPRF:
 		return "BMP-RF"
-	case AlgoAdaptive:
-		return "ADAPT"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
 // Algorithms lists all supported algorithms in presentation order.
-var Algorithms = []Algorithm{AlgoM, AlgoMPS, AlgoBMP, AlgoBMPRF, AlgoAdaptive}
+var Algorithms = []Algorithm{AlgoM, AlgoMPS, AlgoBMP, AlgoBMPRF}
 
 // Options configures a counting run. The zero value selects the baseline
 // merge on all available cores with the paper's default tuning constants.
@@ -112,12 +104,6 @@ type Options struct {
 	// filter; <= 0 uses bitmap.DefaultRangeScale (4096).
 	RangeScale int
 
-	// Calibration is AlgoAdaptive's crossover table; nil uses the
-	// deterministic adaptive.Default table, so tests stay reproducible
-	// without a calibration pass. A non-nil table must pass Validate.
-	// Ignored by the other algorithms.
-	Calibration *adaptive.Table
-
 	// CollectWork enables the instrumented kernels, filling Result.Work
 	// with the abstract operation counts archsim consumes. It slows the run
 	// and is off by default.
@@ -157,9 +143,6 @@ func (o Options) withDefaults() Options {
 	if o.RangeScale <= 0 {
 		o.RangeScale = bitmap.DefaultRangeScale
 	}
-	if o.Algorithm == AlgoAdaptive && o.Calibration == nil {
-		o.Calibration = adaptive.Default()
-	}
 	o.Threads = sched.Workers(o.Threads)
 	return o
 }
@@ -167,17 +150,12 @@ func (o Options) withDefaults() Options {
 // validate rejects incoherent option combinations.
 func (o Options) validate() error {
 	switch o.Algorithm {
-	case AlgoM, AlgoMPS, AlgoBMP, AlgoBMPRF, AlgoAdaptive:
+	case AlgoM, AlgoMPS, AlgoBMP, AlgoBMPRF:
 	default:
 		return fmt.Errorf("core: unknown algorithm %d", int(o.Algorithm))
 	}
 	if o.Lanes > 64 {
 		return fmt.Errorf("core: lane width %d out of range (max 64)", o.Lanes)
-	}
-	if o.Algorithm == AlgoAdaptive && o.Calibration != nil {
-		if err := o.Calibration.Validate(); err != nil {
-			return fmt.Errorf("core: calibration table: %w", err)
-		}
 	}
 	return nil
 }

@@ -211,7 +211,6 @@ var All = []Experiment{
 	{"fig9", "Figure 9: Effect of block size tuning", (*Context).Fig9},
 	{"fig10", "Figure 10: Optimized algorithms on three processors", (*Context).Fig10},
 	{"ablations", "Ablations: skew threshold and range scale", (*Context).Ablations},
-	{"adaptive", "Adaptive: per-edge kernel dispatch vs fixed kernels", (*Context).Adaptive},
 }
 
 // ByID returns the experiment with the given ID.

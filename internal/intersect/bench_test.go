@@ -106,28 +106,6 @@ func BenchmarkKernelsSkewed(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockMergeSpecialization compares the generic lane-parameterized
-// block merge against the hand-unrolled 8x8 kernel and the scalar merge on
-// balanced sets.
-func BenchmarkBlockMergeSpecialization(b *testing.B) {
-	a, c := benchPair(4096, 4096, 1<<20)
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Merge(a, c)
-		}
-	})
-	b.Run("generic8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BlockMerge(a, c, 8)
-		}
-	})
-	b.Run("unrolled8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BlockMerge8(a, c)
-		}
-	})
-}
-
 // BenchmarkLowerBound measures the three-stage lower bound against plain
 // binary search over a large sorted array.
 func BenchmarkLowerBound(b *testing.B) {

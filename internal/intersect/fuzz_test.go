@@ -48,9 +48,6 @@ func FuzzKernelsAgree(f *testing.F) {
 				t.Fatalf("BlockMerge(%d) = %d, want %d", lanes, got, want)
 			}
 		}
-		if got := BlockMerge8(a, b); got != want {
-			t.Fatalf("BlockMerge8 = %d, want %d", got, want)
-		}
 		if got := PivotSkip(a, b); got != want {
 			t.Fatalf("PivotSkip = %d, want %d", got, want)
 		}

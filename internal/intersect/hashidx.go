@@ -1,7 +1,5 @@
 package intersect
 
-import "cncount/internal/stats"
-
 // HashIndex is the index-based nested-loop comparator from the related work
 // (§2.2.1 [5,12,20]): a dynamic open-addressing hash set built over one
 // neighbor list and probed by the other. The paper's BMP chooses a bitmap
@@ -92,23 +90,6 @@ func HashCount(h *HashIndex, a []uint32) uint32 {
 			c++
 		}
 	}
-	return c
-}
-
-// HashCountStats is HashCount with work accounting: every probe hashes
-// and touches at least one table slot at an uncorrelated offset, the same
-// random-access profile as a bitmap peek plus the hashing arithmetic.
-func HashCountStats(h *HashIndex, a []uint32, w *stats.Work) uint32 {
-	var c uint32
-	for _, v := range a {
-		if h.Contains(v) {
-			c++
-		}
-	}
-	w.Intersections++
-	w.RandomAccesses += uint64(len(a))
-	w.BytesStreamed += uint64(len(a)) * 4
-	w.Matches += uint64(c)
 	return c
 }
 

@@ -65,8 +65,7 @@ func kernels() map[string]func(a, b []uint32) uint32 {
 	return map[string]func(a, b []uint32) uint32{
 		"Merge":          Merge,
 		"BlockMerge4":    func(a, b []uint32) uint32 { return BlockMerge(a, b, 4) },
-		"BlockMerge8":    func(a, b []uint32) uint32 { return BlockMerge(a, b, LanesAVX2) },
-		"BlockMerge8spl": BlockMerge8,
+		"BlockMergeAVX2": func(a, b []uint32) uint32 { return BlockMerge(a, b, LanesAVX2) },
 		"BlockMerge16":   func(a, b []uint32) uint32 { return BlockMerge(a, b, LanesAVX512) },
 		"PivotSkip":      PivotSkip,
 		"MPS":            func(a, b []uint32) uint32 { return MPS(a, b, DefaultSkewThreshold, LanesAVX2) },

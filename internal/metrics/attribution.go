@@ -5,10 +5,10 @@ package metrics
 // plus a sampled wall-time total over Samples of those calls. The sampled
 // mean (SampledNanos / Samples) is the kernel's measured per-call cost in
 // this degree class — the quantity the paper's degree-skew cost model
-// predicts and the crossover calibration estimates synthetically.
+// predicts.
 type AttrBucket struct {
-	// MinDegLen is the bit length of min(d_u, d_v), i.e.
-	// adaptive.DegLen of the smaller endpoint degree (1..64).
+	// MinDegLen is the bit length of min(d_u, d_v), with degrees < 1
+	// counted as 1 (1..64).
 	MinDegLen int `json:"min_deg_len"`
 	// Count is the number of kernel calls that landed in this bucket.
 	Count uint64 `json:"count"`

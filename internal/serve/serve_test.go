@@ -214,6 +214,15 @@ func TestCountEndpointMatchesDirectCount(t *testing.T) {
 	if _, cacheHdr := getJSON(t, ts, "/v1/count?algo=bmp", &got); cacheHdr != "HIT" {
 		t.Errorf("second recount X-Cache = %q, want HIT", cacheHdr)
 	}
+	// No algo (the default) and the "adaptive" spelling both run BMP, so
+	// they share its cache key count:BMP:1.
+	for _, q := range []string{"/v1/count", "/v1/count?algo=adaptive"} {
+		got.Algo = ""
+		status, cacheHdr := getJSON(t, ts, q, &got)
+		if status != http.StatusOK || cacheHdr != "HIT" || got.Algo != "BMP" {
+			t.Errorf("%s = %d, X-Cache %q, algo %q; want 200, HIT, BMP", q, status, cacheHdr, got.Algo)
+		}
+	}
 	if status, _ := getJSON(t, ts, "/v1/count?algo=nope", nil); status != http.StatusBadRequest {
 		t.Errorf("bad algo = %d, want 400", status)
 	}
@@ -445,22 +454,30 @@ func TestInfoEndpoint(t *testing.T) {
 	}
 }
 
-// TestParseAlgo pins the accepted spellings to cmd/cnc's -algo set.
+// TestParseAlgo pins the accepted spellings of the one algorithm-name
+// parser that /v1/count, cnc -algo and benchrun -algos share.
 func TestParseAlgo(t *testing.T) {
 	for name, want := range map[string]cncount.Algorithm{
 		"m": cncount.AlgoM, "merge": cncount.AlgoM,
-		"mps":   cncount.AlgoMPS,
+		"mps": cncount.AlgoMPS, "MPS": cncount.AlgoMPS,
 		"bmp":   cncount.AlgoBMP,
-		"bmprf": cncount.AlgoBMPRF, "BMP-RF": cncount.AlgoBMPRF,
-		"Adaptive": cncount.AlgoAdaptive, "adapt": cncount.AlgoAdaptive,
+		"bmprf": cncount.AlgoBMPRF, "BMP-RF": cncount.AlgoBMPRF, "bmp-rf": cncount.AlgoBMPRF, "rf": cncount.AlgoBMPRF,
+		"adaptive": cncount.AlgoBMP, "Adaptive": cncount.AlgoBMP, "adapt": cncount.AlgoBMP,
 	} {
 		got, err := ParseAlgo(name)
 		if err != nil || got != want {
 			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("gpu"); err == nil {
-		t.Error("ParseAlgo accepted an unknown name")
+	_, err := ParseAlgo("gpu")
+	if err == nil {
+		t.Fatal("ParseAlgo accepted an unknown name")
+	}
+	// The rejection must list every valid name so the user can self-serve.
+	for _, name := range []string{"m", "mps", "bmp", "bmprf"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid name %q", err, name)
+		}
 	}
 }
 

@@ -559,7 +559,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, st *graphSta
 // Options.Context — the batch operation of the paper exposed as one
 // bounded request.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, st *graphState) error {
-	algo := cncount.AlgoAdaptive
+	algo := cncount.AlgoBMP
 	algoName := r.URL.Query().Get("algo")
 	if algoName != "" {
 		var err error
@@ -657,21 +657,21 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// ParseAlgo maps a CLI/query algorithm name to the Algorithm constant,
-// accepting the same spellings as cmd/cnc's -algo flag.
+// ParseAlgo maps an algorithm name to the Algorithm constant: the one
+// parser behind /v1/count's algo parameter and the -algo/-algos flags of
+// cnc and benchrun. "adaptive" and "adapt" name BMP, which absorbed the
+// per-edge dispatcher, so callers that still ask for it keep working.
 func ParseAlgo(s string) (cncount.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "m", "merge":
 		return cncount.AlgoM, nil
 	case "mps":
 		return cncount.AlgoMPS, nil
-	case "bmp":
+	case "bmp", "adaptive", "adapt":
 		return cncount.AlgoBMP, nil
 	case "bmprf", "bmp-rf", "rf":
 		return cncount.AlgoBMPRF, nil
-	case "adaptive", "adapt":
-		return cncount.AlgoAdaptive, nil
 	default:
-		return 0, fmt.Errorf("unknown algorithm %q: valid names are m, mps, bmp, bmprf, adaptive", s)
+		return 0, fmt.Errorf("unknown algorithm %q: valid names are m, mps, bmp, bmprf", s)
 	}
 }
