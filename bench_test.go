@@ -126,6 +126,9 @@ func BenchmarkTable3BitmapMem(b *testing.B) {
 
 // --- Table 4: technique stack vs baseline M -----------------------------
 
+// BenchmarkTable4Stack times the executed technique stack on TW. V has no
+// row: no run executes SIMD, and -experiment table4 models it from the VB
+// work count.
 func BenchmarkTable4Stack(b *testing.B) {
 	g := benchGraph(b, "TW")
 	rows := []struct {
@@ -133,9 +136,8 @@ func BenchmarkTable4Stack(b *testing.B) {
 		opts cncount.Options
 	}{
 		{"M", cncount.Options{Algorithm: cncount.AlgoM, Threads: 1}},
-		{"MPS", cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1, Lanes: 1}},
-		{"MPS+V", cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1, Lanes: 8}},
-		{"MPS+V+P", cncount.Options{Algorithm: cncount.AlgoMPS, Lanes: 8}},
+		{"MPS", cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1}},
+		{"MPS+P", cncount.Options{Algorithm: cncount.AlgoMPS}},
 		{"BMP", cncount.Options{Algorithm: cncount.AlgoBMP, Threads: 1}},
 		{"BMP+P", cncount.Options{Algorithm: cncount.AlgoBMP}},
 		{"BMP+P+RF", cncount.Options{Algorithm: cncount.AlgoBMPRF, RangeScale: 64}},
@@ -210,7 +212,7 @@ func BenchmarkFig3DegreeSkew(b *testing.B) {
 		g := benchGraph(b, name)
 		for _, algo := range []cncount.Algorithm{cncount.AlgoM, cncount.AlgoMPS, cncount.AlgoBMP} {
 			b.Run(name+"/"+algo.String(), func(b *testing.B) {
-				countBench(b, g, cncount.Options{Algorithm: algo, Threads: 1, Lanes: 1})
+				countBench(b, g, cncount.Options{Algorithm: algo, Threads: 1})
 			})
 		}
 	}
@@ -218,12 +220,27 @@ func BenchmarkFig3DegreeSkew(b *testing.B) {
 
 // --- Figure 4: vectorization --------------------------------------------
 
+// BenchmarkFig4Vectorization sweeps the modeled VB lane width of
+// single-threaded MPS. No run executes SIMD: the lane width sets how the
+// work count tallies balanced pairs, and the CPU model charges it.
 func BenchmarkFig4Vectorization(b *testing.B) {
 	for _, name := range []string{"TW", "FR"} {
 		g := benchGraph(b, name)
-		for _, lanes := range []int{1, 8, 16} {
+		for _, lanes := range []int{1, 4, 8, 16, 32} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", name, lanes), func(b *testing.B) {
-				countBench(b, g, cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1, Lanes: lanes})
+				for i := 0; i < b.N; i++ {
+					sim, err := cncount.Simulate(g, cncount.SimOptions{
+						Processor:     cncount.ProcCPU,
+						Algorithm:     cncount.AlgoMPS,
+						Threads:       1,
+						Lanes:         lanes,
+						CapacityScale: 0.001 * benchScale(),
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(sim.Modeled.Seconds()*1e3, "modeled-ms")
+				}
 			})
 		}
 	}
@@ -349,7 +366,7 @@ func BenchmarkFig10Final(b *testing.B) {
 // --- Ablations of DESIGN.md's design choices -----------------------------
 
 // BenchmarkAblationSkewThreshold sweeps MPS's t: too small sends balanced
-// pairs through pivot-skip, too large sends skewed pairs through the block
+// pairs through pivot-skip, too large sends skewed pairs through the
 // merge; the paper's 50 sits near the optimum on skewed graphs.
 func BenchmarkAblationSkewThreshold(b *testing.B) {
 	g := benchGraph(b, "TW")
@@ -379,16 +396,6 @@ func BenchmarkAblationRangeScale(b *testing.B) {
 	for _, rs := range []int{4, 64, 1024, 4096} {
 		b.Run(fmt.Sprintf("scale=%d", rs), func(b *testing.B) {
 			countBench(b, g, cncount.Options{Algorithm: cncount.AlgoBMPRF, RangeScale: rs})
-		})
-	}
-}
-
-// BenchmarkAblationLanes sweeps the block-merge width on a balanced graph.
-func BenchmarkAblationLanes(b *testing.B) {
-	g := benchGraph(b, "FR")
-	for _, lanes := range []int{4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			countBench(b, g, cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1, Lanes: lanes})
 		})
 	}
 }
@@ -570,11 +577,6 @@ func BenchmarkCoreKernels(b *testing.B) {
 	b.Run("PivotSkip/skewed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			intersect.PivotSkip(hub, leaf)
-		}
-	})
-	b.Run("BlockMerge/skewed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			intersect.BlockMerge(hub, leaf, 8)
 		}
 	})
 	b.Run("Bitmap/skewed", func(b *testing.B) {

@@ -52,7 +52,6 @@ type appConfig struct {
 	algoName   string
 	threads    int
 	taskSize   int
-	lanes      int
 	skew       float64
 	rangeScale int
 	reorder    bool
@@ -85,7 +84,6 @@ func main() {
 	flag.StringVar(&cfg.algoName, "algo", "bmp", "algorithm: m, mps, bmp, bmprf (adaptive is accepted as bmp)")
 	flag.IntVar(&cfg.threads, "threads", 0, "worker count (0 = all cores, 1 = sequential)")
 	flag.IntVar(&cfg.taskSize, "tasksize", 0, "edge offsets per scheduled task (0 = default)")
-	flag.IntVar(&cfg.lanes, "lanes", 0, "block-merge lane width (0 = default 8)")
 	flag.Float64Var(&cfg.skew, "skew", 0, "MPS degree-skew threshold t (0 = default 50)")
 	flag.IntVar(&cfg.rangeScale, "rangescale", 0, "RF bitmap:filter ratio (0 = default)")
 	flag.BoolVar(&cfg.reorder, "reorder", true, "degree-descending reordering before counting")
@@ -257,7 +255,6 @@ func run(ctx context.Context, cfg appConfig, stdout io.Writer) error {
 		MemoryBudgetBytes: cfg.memBudget,
 		Threads:           cfg.threads,
 		TaskSize:          cfg.taskSize,
-		Lanes:             cfg.lanes,
 		SkewThreshold:     cfg.skew,
 		RangeScale:        cfg.rangeScale,
 		Reorder:           cfg.reorder,

@@ -232,12 +232,9 @@ type Options struct {
 	// <= 0 uses the default (2048).
 	TaskSize int
 
-	// SkewThreshold is MPS's degree-skew ratio t; <= 0 uses 50.
+	// SkewThreshold is MPS's degree-skew ratio t; <= 0 uses 50, +Inf
+	// never switches to pivot-skip, and NaN is rejected.
 	SkewThreshold float64
-
-	// Lanes is the block-merge lane width (1 scalar, 8 ≈ AVX2,
-	// 16 ≈ AVX-512); <= 0 uses 8.
-	Lanes int
 
 	// RangeScale is the RF bitmap-to-filter size ratio; <= 0 uses 4096.
 	RangeScale int
@@ -299,7 +296,6 @@ func Count(g *Graph, opts Options) (*Result, error) {
 		Threads:           opts.Threads,
 		TaskSize:          opts.TaskSize,
 		SkewThreshold:     opts.SkewThreshold,
-		Lanes:             opts.Lanes,
 		RangeScale:        opts.RangeScale,
 		CollectWork:       opts.CollectWork,
 		Metrics:           opts.Metrics,

@@ -27,9 +27,9 @@ type RunConfig struct {
 	// Figures 3-4).
 	Threads int
 
-	// Lanes is the vector lane width the block-merge kernels were run
-	// with. It must match the Lanes option given to core.Count so that
-	// VectorBlocks are charged consistently. <= 1 means scalar.
+	// Lanes is the vector lane width the VB work was counted at. It must
+	// match the Lanes option given to core.Count so that VectorBlocks are
+	// charged consistently. <= 1 means scalar.
 	Lanes int
 
 	// MemMode selects the KNL MCDRAM mode; ignored by specs without HBM.

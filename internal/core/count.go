@@ -313,7 +313,7 @@ func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCt
 			}
 		}
 		return func(_ *workerCtx, u, v uint32) uint32 {
-			return intersect.MPS(g.Neighbors(u), g.Neighbors(v), t, lanes)
+			return intersect.MPS(g.Neighbors(u), g.Neighbors(v), t)
 		}
 
 	case AlgoBMP:

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"cncount/internal/bitmap"
 	"cncount/internal/gen"
 	"cncount/internal/graph"
 	"cncount/internal/verify"
@@ -202,6 +204,66 @@ func TestCountWorkDistinguishesAlgorithms(t *testing.T) {
 	if bmp.Work.Comparisons >= m.Work.Comparisons {
 		t.Errorf("BMP comparisons %d not below M %d", bmp.Work.Comparisons, m.Work.Comparisons)
 	}
+
+	// Lanes reaches only the work count: balanced MPS pairs are tallied as
+	// VB blocks of that width (the input of Figure 4), while the counts
+	// match a run that collects nothing.
+	plain, err := Count(rg, Options{Algorithm: AlgoMPS, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lanes := range []int{1, 8} {
+		res, err := Count(rg, Options{Algorithm: AlgoMPS, Threads: 1, Lanes: lanes, CollectWork: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks := res.Work.VectorBlocks; (lanes == 1) != (blocks == 0) {
+			t.Errorf("MPS at %d lanes recorded %d vector blocks", lanes, blocks)
+		}
+		for e := range plain.Counts {
+			if res.Counts[e] != plain.Counts[e] {
+				t.Fatalf("MPS at %d lanes: cnt[%d] = %d, uncollected run %d",
+					lanes, e, res.Counts[e], plain.Counts[e])
+			}
+		}
+	}
+}
+
+// countVertexBMP is the literal sequential BMP of the paper's Algorithm 2:
+// for each vertex u in order, build the bitmap index of N(u), intersect it
+// with N(v) for every neighbor v > u (assigning the count symmetrically),
+// then clear the bitmap by flipping the same bits back. It is the
+// pseudocode-faithful oracle for the parallel engine, which reaches the
+// same result through the edge-range skeleton (Algorithm 3).
+func countVertexBMP(g *graph.CSR) []uint32 {
+	counts := make([]uint32, g.NumEdges())
+	n := g.NumVertices()
+	b := bitmap.New(uint32(n))
+	for u := 0; u < n; u++ {
+		nu := g.Neighbors(graph.VertexID(u))
+		// Lines 3-4: set v's bit for every v ∈ N(u).
+		b.SetList(nu)
+		// Lines 5-7: count for each neighbor v with u < v, assign both
+		// directions.
+		for i, v := range nu {
+			if graph.VertexID(u) >= v {
+				continue
+			}
+			var c uint32
+			for _, w := range g.Neighbors(v) {
+				if b.Test(w) {
+					c++
+				}
+			}
+			counts[g.Off[u]+int64(i)] = c
+			if rev, ok := g.EdgeOffset(v, graph.VertexID(u)); ok {
+				counts[rev] = c
+			}
+		}
+		// Lines 8-9: flip v's bit for every v ∈ N(u).
+		b.ClearList(nu)
+	}
+	return counts
 }
 
 func TestCountVertexBMPMatchesEngine(t *testing.T) {
@@ -209,7 +271,7 @@ func TestCountVertexBMPMatchesEngine(t *testing.T) {
 	// graph.
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomGraph(t, 40+seed, 150, 1100)
-		want := CountVertexBMP(g)
+		want := countVertexBMP(g)
 		if err := verify.CheckCounts(g, want); err != nil {
 			t.Fatalf("seed %d: Algorithm 2 reference wrong: %v", seed, err)
 		}
@@ -232,6 +294,9 @@ func TestCountOptionsValidation(t *testing.T) {
 	}
 	if _, err := Count(g, Options{Algorithm: AlgoMPS, Lanes: 100}); err == nil {
 		t.Error("want error for absurd lane width")
+	}
+	if _, err := Count(g, Options{Algorithm: AlgoMPS, SkewThreshold: math.NaN()}); err == nil {
+		t.Error("want error for NaN skew threshold")
 	}
 }
 

@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"cncount/internal/bitmap"
 	"cncount/internal/intersect"
@@ -35,8 +36,8 @@ type Algorithm int
 const (
 	// AlgoM is the baseline scalar merge without skew handling.
 	AlgoM Algorithm = iota
-	// AlgoMPS is the merge-based pivot-skip algorithm: block-wise merge for
-	// balanced pairs, pivot-skip for degree-skewed pairs.
+	// AlgoMPS is the merge-based pivot-skip algorithm: merge for balanced
+	// pairs, pivot-skip for degree-skewed pairs.
 	AlgoMPS
 	// AlgoBMP is the dynamic bitmap-index algorithm.
 	AlgoBMP
@@ -92,12 +93,14 @@ type Options struct {
 	TaskSize int
 
 	// SkewThreshold is t, MPS's degree-skew ratio for switching from the
-	// block merge to pivot-skip; <= 0 uses intersect.DefaultSkewThreshold
-	// (50, the paper's empirical choice).
+	// merge to pivot-skip; <= 0 uses intersect.DefaultSkewThreshold (50,
+	// the paper's empirical choice). +Inf never switches; NaN is rejected.
 	SkewThreshold float64
 
-	// Lanes is the block-merge lane width (1 = scalar merge inside MPS,
-	// 8 ≈ AVX2, 16 ≈ AVX-512); <= 0 uses 8.
+	// Lanes is the modeled VB lane width (1 = scalar merge, 8 ≈ AVX2,
+	// 16 ≈ AVX-512); <= 0 uses 8. It changes only the work MPS counts
+	// under CollectWork, where balanced pairs are tallied as VB blocks of
+	// this width; executed MPS always merges.
 	Lanes int
 
 	// RangeScale is the RF size ratio between the big bitmap and the
@@ -156,6 +159,9 @@ func (o Options) validate() error {
 	}
 	if o.Lanes > 64 {
 		return fmt.Errorf("core: lane width %d out of range (max 64)", o.Lanes)
+	}
+	if math.IsNaN(o.SkewThreshold) {
+		return fmt.Errorf("core: skew threshold is NaN")
 	}
 	return nil
 }

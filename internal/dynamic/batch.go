@@ -211,7 +211,7 @@ func (d *Graph) ApplyBatch(ops []Op, workers int) (BatchResult, error) {
 	repair := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			k := keys[i]
-			vals[i] = intersect.MPS(d.adj[k.u], d.adj[k.v], d.skewThreshold, d.lanes)
+			vals[i] = intersect.MPS(d.adj[k.u], d.adj[k.v], intersect.DefaultSkewThreshold)
 		}
 	}
 	workers = sched.Workers(workers)

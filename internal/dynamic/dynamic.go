@@ -29,7 +29,6 @@ import (
 	"slices"
 
 	"cncount/internal/graph"
-	"cncount/internal/intersect"
 )
 
 // Graph is a mutable undirected graph with per-edge common neighbor counts
@@ -52,9 +51,6 @@ type Graph struct {
 	// edges and sum are the running undirected edge count and count sum.
 	edges int
 	sum   uint64
-	// skewThreshold and lanes configure the per-update intersection kernel.
-	skewThreshold float64
-	lanes         int
 }
 
 // New returns an empty dynamic graph over n vertices.
@@ -72,12 +68,10 @@ func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 	}
 	n := g.NumVertices()
 	d := &Graph{
-		adj:           make([][]graph.VertexID, n),
-		cnt:           make([][]uint32, n),
-		dirty:         make([]bool, n),
-		edges:         int(g.NumEdges() / 2),
-		skewThreshold: intersect.DefaultSkewThreshold,
-		lanes:         intersect.LanesAVX2,
+		adj:   make([][]graph.VertexID, n),
+		cnt:   make([][]uint32, n),
+		dirty: make([]bool, n),
+		edges: int(g.NumEdges() / 2),
 	}
 	for _, c := range counts {
 		d.sum += uint64(c)

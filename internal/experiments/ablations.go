@@ -10,8 +10,9 @@ import (
 
 // Ablations sweeps the tunable design constants DESIGN.md calls out,
 // through the same measured-work + cost-model pipeline as the figures: the
-// MPS degree-skew threshold t and the RF range scale. (Task size, lane
-// width, clearing discipline, gallop window and scheduling policy are
+// MPS degree-skew threshold t and the RF range scale. (Lane width goes
+// through the same pipeline in Figure 4 and BenchmarkFig4Vectorization.
+// Task size, clearing discipline, gallop window and scheduling policy are
 // swept by the wall-clock ablation benchmarks instead, since their effects
 // are scheduling- and microarchitecture-level rather than work-level.)
 func (c *Context) Ablations() (string, error) {

@@ -15,11 +15,13 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 
 	"cncount/internal/archsim"
 	"cncount/internal/bitmap"
 	"cncount/internal/core"
 	"cncount/internal/graph"
+	"cncount/internal/intersect"
 	"cncount/internal/metrics"
 	"cncount/internal/trace"
 )
@@ -76,7 +78,8 @@ type Config struct {
 	// formula ceil(Mem_CSR / (Mem_global - Mem_reserved - Mem_BA)).
 	Passes int
 
-	// SkewThreshold is MPS's t; <= 0 uses the paper's 50.
+	// SkewThreshold is MPS's t; <= 0 uses the paper's 50
+	// (intersect.DefaultSkewThreshold). NaN is rejected.
 	SkewThreshold float64
 
 	// RangeScale configures the shared-memory range filter for AlgoBMPRF;
@@ -121,7 +124,7 @@ func (c Config) withDefaults() Config {
 		c.WarpsPerBlock = DefaultWarpsPerBlock
 	}
 	if c.SkewThreshold <= 0 {
-		c.SkewThreshold = 50
+		c.SkewThreshold = intersect.DefaultSkewThreshold
 	}
 	return c
 }
@@ -139,6 +142,9 @@ func (c Config) validate() error {
 	}
 	if c.Passes < 0 {
 		return fmt.Errorf("gpusim: negative pass count %d", c.Passes)
+	}
+	if math.IsNaN(c.SkewThreshold) {
+		return fmt.Errorf("gpusim: skew threshold is NaN")
 	}
 	return nil
 }

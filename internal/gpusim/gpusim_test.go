@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -86,6 +87,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(g, Config{Algorithm: core.AlgoMPS, Passes: -1}); err == nil {
 		t.Error("negative passes accepted")
+	}
+	if _, err := Run(g, Config{Algorithm: core.AlgoMPS, SkewThreshold: math.NaN()}); err == nil {
+		t.Error("NaN skew threshold accepted")
 	}
 }
 

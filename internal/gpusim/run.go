@@ -360,8 +360,10 @@ func blockWork(g *graph.CSR, u uint32, nu []uint32, vLo, vHi uint32,
 
 		default:
 			// MKernel: warp-wise block merge (the warp handles one edge,
-			// loading 32-element tiles into shared memory).
-			c = intersect.BlockMerge(nu, nv, WarpSize)
+			// loading 32-element tiles into shared memory). The count comes
+			// from the scalar merge; the warp tiles are charged from the
+			// list lengths.
+			c = intersect.Merge(nu, nv)
 			steps := warpIters(len(nu)) + warpIters(len(nv))
 			w.warpInstr += steps*36 + 5 // all-pair tile compare + reduction
 			bytes := uint64(len(nu)+len(nv)) * 4

@@ -128,9 +128,10 @@ func (g *CSR) Validate() error {
 // VertexRangeError reports a vertex count whose ID space exceeds what the
 // uint32 VertexID can represent. The top ID MaxUint32 is additionally
 // reserved: the file loaders reject it (ReadEdgeList, ReadBinary), and the
-// in-memory constructors must match, because intersect.HashIndex uses
-// ^uint32(0) as its empty-slot sentinel — a graph holding that ID would
-// silently corrupt hash probes rather than fail loudly.
+// in-memory constructors must match, because a graph holding that ID has
+// 2^32 vertices, and the bitmap sizing in core.Count, archsim and gpusim
+// (uint32(g.NumVertices())) would wrap that count to 0 rather than fail
+// loudly.
 type VertexRangeError struct {
 	// NumVertices is the rejected vertex count.
 	NumVertices int

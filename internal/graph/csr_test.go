@@ -77,10 +77,10 @@ func TestFromEdgesOutOfRange(t *testing.T) {
 }
 
 // TestFromEdgesRejectsSentinelIDSpace: a vertex count past MaxUint32 would
-// make the ID ^uint32(0) — intersect.HashIndex's empty-slot sentinel — a
-// legal vertex, silently corrupting hash probes. The in-memory constructor
-// must reject it with the typed error before allocating anything
-// count-proportional, matching the file loaders' semantics.
+// make the ID ^uint32(0) a legal vertex, and the uint32(g.NumVertices())
+// that sizes the counting bitmaps would wrap 2^32 to 0. The in-memory
+// constructor must reject it with the typed error before allocating
+// anything count-proportional, matching the file loaders' semantics.
 func TestFromEdgesRejectsSentinelIDSpace(t *testing.T) {
 	tooMany := int(int64(math.MaxUint32) + 1)
 	if int64(tooMany) != int64(math.MaxUint32)+1 {

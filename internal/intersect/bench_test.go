@@ -1,12 +1,10 @@
 package intersect
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"cncount/internal/bitmap"
-	"cncount/internal/sparsebitmap"
 )
 
 // benchPair builds a reproducible sorted pair with the given sizes and
@@ -17,8 +15,8 @@ func benchPair(sizeA, sizeB, universe int) ([]uint32, []uint32) {
 }
 
 // BenchmarkKernelsBalanced compares every intersection kernel on
-// similar-cardinality sets — the regime where the block merge should win
-// and pivot-skip should not.
+// similar-cardinality sets — the regime where the merge should win and
+// pivot-skip should not.
 func BenchmarkKernelsBalanced(b *testing.B) {
 	const universe = 1 << 20
 	a, c := benchPair(1024, 1024, universe)
@@ -26,22 +24,12 @@ func BenchmarkKernelsBalanced(b *testing.B) {
 	bm.SetList(a)
 	rf := bitmap.NewRangeFiltered(universe, 64)
 	rf.SetList(a)
-	h := NewHashIndex(len(a))
-	h.Rebuild(a)
-	sa, sc := sparsebitmap.FromSorted(a), sparsebitmap.FromSorted(c)
 
 	b.Run("Merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Merge(a, c)
 		}
 	})
-	for _, lanes := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("BlockMerge%d", lanes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				BlockMerge(a, c, lanes)
-			}
-		})
-	}
 	b.Run("PivotSkip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			PivotSkip(a, c)
@@ -57,16 +45,6 @@ func BenchmarkKernelsBalanced(b *testing.B) {
 			BitmapRF(rf, c)
 		}
 	})
-	b.Run("HashIndex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			HashCount(h, c)
-		}
-	})
-	b.Run("SparseBitmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparsebitmap.IntersectCount(sa, sc)
-		}
-	})
 }
 
 // BenchmarkKernelsSkewed compares the kernels on a 1000:1 cardinality skew
@@ -76,8 +54,6 @@ func BenchmarkKernelsSkewed(b *testing.B) {
 	long, short := benchPair(100000, 100, universe)
 	bm := bitmap.New(universe)
 	bm.SetList(long)
-	h := NewHashIndex(len(long))
-	h.Rebuild(long)
 
 	b.Run("Merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -91,17 +67,12 @@ func BenchmarkKernelsSkewed(b *testing.B) {
 	})
 	b.Run("MPS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MPS(long, short, DefaultSkewThreshold, 8)
+			MPS(long, short, DefaultSkewThreshold)
 		}
 	})
 	b.Run("Bitmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Bitmap(bm, short)
-		}
-	})
-	b.Run("HashIndex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			HashCount(h, short)
 		}
 	})
 }
@@ -164,13 +135,6 @@ func BenchmarkBitmapConstruction(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rf.SetList(nu)
 			rf.ClearList(nu)
-		}
-	})
-	b.Run("hash-rebuild", func(b *testing.B) {
-		h := NewHashIndex(len(nu))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Rebuild(nu)
 		}
 	})
 }

@@ -4,66 +4,25 @@ import "cncount/internal/stats"
 
 // Lane widths of the vector ISAs the paper targets. An AVX2 register holds
 // eight 32-bit integers and an AVX-512 register sixteen; the VB merge
-// compares a block of lanesA pivots against a block of lanesB candidates in
+// compares a block of lanes pivots against a block of lanes candidates in
 // one all-pair step.
 const (
-	LanesScalar = 1
 	LanesAVX2   = 8
 	LanesAVX512 = 16
 )
 
-// BlockMerge counts |a ∩ b| with the vectorized block-wise merge VB
-// (Inoue et al. [14], paper §3.1 and Figure 1): load one block from each
-// array, compare all pairs branch-free, accumulate the match count, then
-// advance the block whose last element is smaller by a whole block.
+// BlockMergeStats counts |a ∩ b| under the block schedule of the vectorized
+// block-wise merge VB (Inoue et al. [14], paper §3.1 and Figure 1) and
+// tallies its work: load one block of lanes elements from each array,
+// compare all pairs, then advance the block whose last element is smaller
+// by a whole block. Each all-pair step is one VectorBlock, the SIMD unit of
+// work the archsim cost model charges at the modeled lane width; the
+// sub-block tail is tallied as TailComparisons.
 //
-// In the paper the all-pair comparison is a shuffle+compare on SIMD
-// registers; here it is an unrolled scalar loop over the same block
-// schedule. The memory access pattern, the comparison schedule, and the
-// branch behaviour (one branch per block instead of per element) are
-// identical; only the per-block constant differs, and the archsim cost
-// model re-applies the SIMD speedup when modeling the CPU and KNL.
-//
-// lanes is the block edge length (LanesAVX2 or LanesAVX512). Tails shorter
-// than a full block fall back to the scalar merge.
-func BlockMerge(a, b []uint32, lanes int) uint32 {
-	if lanes <= 1 {
-		return Merge(a, b)
-	}
-	var c uint32
-	i, j := 0, 0
-	for i+lanes <= len(a) && j+lanes <= len(b) {
-		blockA := a[i : i+lanes]
-		blockB := b[j : j+lanes]
-		// All-pair comparison of the two blocks. Both blocks are sorted and
-		// duplicate-free, so counting equal pairs counts matches exactly
-		// once. The inner loops are bounds-check-friendly and branch-free
-		// in the accumulation.
-		for _, x := range blockA {
-			for _, y := range blockB {
-				if x == y {
-					c++
-				}
-			}
-		}
-		// Advance the block with the smaller last element; on a tie both
-		// advance (every match involving either block has been counted).
-		lastA, lastB := blockA[lanes-1], blockB[lanes-1]
-		if lastA <= lastB {
-			i += lanes
-		}
-		if lastB <= lastA {
-			j += lanes
-		}
-	}
-	// Scalar tail: the remaining sub-arrays still overlap arbitrarily.
-	c += Merge(a[i:], b[j:])
-	return c
-}
-
-// BlockMergeStats is BlockMerge with work accounting. Each all-pair block
-// step is tallied as one VectorBlock (the SIMD unit of work) and the scalar
-// tail as Comparisons.
+// This is the only VB code, and it runs only when work is counted. Go has
+// no portable SIMD, and a scalar all-pair loop is slower than the merge it
+// stands for, so executed MPS runs Merge on balanced pairs instead.
+// lanes <= 1 is the scalar merge.
 func BlockMergeStats(a, b []uint32, lanes int, w *stats.Work) uint32 {
 	if lanes <= 1 {
 		return MergeStats(a, b, w)
@@ -75,6 +34,8 @@ func BlockMergeStats(a, b []uint32, lanes int, w *stats.Work) uint32 {
 		blocks++
 		blockA := a[i : i+lanes]
 		blockB := b[j : j+lanes]
+		// Both blocks are sorted and duplicate-free, so counting equal
+		// pairs counts each match exactly once.
 		for _, x := range blockA {
 			for _, y := range blockB {
 				if x == y {
@@ -82,6 +43,8 @@ func BlockMergeStats(a, b []uint32, lanes int, w *stats.Work) uint32 {
 				}
 			}
 		}
+		// Advance the block with the smaller last element; on a tie both
+		// advance (every match involving either block has been counted).
 		lastA, lastB := blockA[lanes-1], blockB[lanes-1]
 		if lastA <= lastB {
 			i += lanes

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cncount/internal/bitmap"
+	"cncount/internal/stats"
 )
 
 // decodeSet turns fuzz bytes into a sorted duplicate-free uint32 set with a
@@ -43,16 +44,20 @@ func FuzzKernelsAgree(f *testing.F) {
 		if got := Merge(a, b); got != want {
 			t.Fatalf("Merge = %d, want %d", got, want)
 		}
+		var w stats.Work
 		for _, lanes := range []int{4, 8, 16} {
-			if got := BlockMerge(a, b, lanes); got != want {
-				t.Fatalf("BlockMerge(%d) = %d, want %d", lanes, got, want)
+			if got := BlockMergeStats(a, b, lanes, &w); got != want {
+				t.Fatalf("BlockMergeStats(%d) = %d, want %d", lanes, got, want)
 			}
 		}
 		if got := PivotSkip(a, b); got != want {
 			t.Fatalf("PivotSkip = %d, want %d", got, want)
 		}
-		if got := MPS(a, b, 3, 8); got != want {
+		if got := MPS(a, b, 3); got != want {
 			t.Fatalf("MPS = %d, want %d", got, want)
+		}
+		if got := MPSStats(a, b, 3, 8, &w); got != want {
+			t.Fatalf("MPSStats = %d, want %d", got, want)
 		}
 		bm := bitmap.New(1 << 16)
 		bm.SetList(a)
@@ -63,11 +68,6 @@ func FuzzKernelsAgree(f *testing.F) {
 		rf.SetList(a)
 		if got := BitmapRF(rf, b); got != want {
 			t.Fatalf("BitmapRF = %d, want %d", got, want)
-		}
-		h := NewHashIndex(len(a))
-		h.Rebuild(a)
-		if got := HashCount(h, b); got != want {
-			t.Fatalf("HashCount = %d, want %d", got, want)
 		}
 	})
 }

@@ -64,14 +64,14 @@ func TestMergeBasic(t *testing.T) {
 func kernels() map[string]func(a, b []uint32) uint32 {
 	return map[string]func(a, b []uint32) uint32{
 		"Merge":          Merge,
-		"BlockMerge4":    func(a, b []uint32) uint32 { return BlockMerge(a, b, 4) },
-		"BlockMergeAVX2": func(a, b []uint32) uint32 { return BlockMerge(a, b, LanesAVX2) },
-		"BlockMerge16":   func(a, b []uint32) uint32 { return BlockMerge(a, b, LanesAVX512) },
 		"PivotSkip":      PivotSkip,
-		"MPS":            func(a, b []uint32) uint32 { return MPS(a, b, DefaultSkewThreshold, LanesAVX2) },
-		"MPS-tightSkew":  func(a, b []uint32) uint32 { return MPS(a, b, 1.5, LanesAVX512) },
+		"MPS":            func(a, b []uint32) uint32 { return MPS(a, b, DefaultSkewThreshold) },
+		"MPS-tightSkew":  func(a, b []uint32) uint32 { return MPS(a, b, 1.5) },
 		"MergeStats":     func(a, b []uint32) uint32 { var w stats.Work; return MergeStats(a, b, &w) },
+		"BlockStats4":    func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, 4, &w) },
 		"BlockStats8":    func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, 8, &w) },
+		"BlockMergeAVX2": func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, LanesAVX2, &w) },
+		"BlockStats16":   func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, LanesAVX512, &w) },
 		"PivotSkipStats": func(a, b []uint32) uint32 { var w stats.Work; return PivotSkipStats(a, b, &w) },
 		"MPSStats": func(a, b []uint32) uint32 {
 			var w stats.Work
@@ -354,11 +354,17 @@ func TestMergeThresholdProperty(t *testing.T) {
 }
 
 func TestBlockMergeLaneOne(t *testing.T) {
-	// lanes <= 1 must behave exactly like the scalar merge.
+	// lanes <= 1 must count and tally exactly like the scalar merge.
 	rng := rand.New(rand.NewSource(31))
 	a := sortedSet(rng, 100, 300)
 	b := sortedSet(rng, 100, 300)
-	if BlockMerge(a, b, 1) != Merge(a, b) || BlockMerge(a, b, 0) != Merge(a, b) {
-		t.Error("BlockMerge with lanes<=1 disagrees with Merge")
+	var want stats.Work
+	c := MergeStats(a, b, &want)
+	for _, lanes := range []int{0, 1} {
+		var w stats.Work
+		if got := BlockMergeStats(a, b, lanes, &w); got != c || w != want {
+			t.Errorf("BlockMergeStats(lanes=%d) = %d with %+v, want MergeStats' %d with %+v",
+				lanes, got, w, c, want)
+		}
 	}
 }

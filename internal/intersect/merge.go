@@ -1,19 +1,21 @@
-// Package intersect implements every set-intersection kernel the paper
-// studies, in both a plain (fast) and an instrumented (work-counting)
-// variant:
+// Package intersect implements the set-intersection kernels the paper
+// studies. Each kernel below has an instrumented (work-counting) twin named
+// with a Stats suffix:
 //
 //   - Merge: the scalar two-pointer merge M, the paper's baseline
 //     (Algorithm 1, IntersectM).
-//   - BlockMerge: the vectorized block-wise merge VB with a configurable
-//     lane width, emulating the AVX2/AVX-512 all-pair comparison blocks in
-//     portable Go.
 //   - PivotSkip: the pivot-skip merge PS (Algorithm 1, IntersectPS) built
 //     on a lower bound that chains a linear-search window, galloping
 //     (exponential) skips, and a final binary search.
 //   - MPS: the combined algorithm that picks PS for degree-skewed pairs and
-//     BlockMerge otherwise, controlled by the skew threshold t.
+//     Merge otherwise, controlled by the skew threshold t.
 //   - Bitmap/BitmapRF: the indexed nested-loop probes of BMP
 //     (Algorithm 2, IntersectBMP), optionally through the range filter.
+//
+// The vectorized block-wise merge VB has only the instrumented form,
+// BlockMergeStats, which MPSStats uses for balanced pairs: it counts VB's
+// all-pair blocks at a given lane width for the processor models, while
+// executed MPS merges (see BlockMergeStats for why).
 //
 // All kernels operate on ascending-sorted uint32 slices and return the
 // match count |A ∩ B|.

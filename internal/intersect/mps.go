@@ -3,9 +3,9 @@ package intersect
 import "cncount/internal/stats"
 
 // DefaultSkewThreshold is the paper's empirical degree-skew ratio for
-// switching from the block merge to pivot-skip ("We choose an empirical
-// number 50 as the threshold to control the merge algorithm selection in
-// MPS", §5.1).
+// switching from the merge to pivot-skip ("We choose an empirical number 50
+// as the threshold to control the merge algorithm selection in MPS",
+// §5.1).
 const DefaultSkewThreshold = 50
 
 // Skewed reports whether the pair of set sizes is highly degree-skewed with
@@ -19,17 +19,21 @@ func Skewed(la, lb int, t float64) bool {
 	return float64(la) > t*float64(lb) || float64(lb) > t*float64(la)
 }
 
-// MPS counts |a ∩ b| with the paper's combined merge: PivotSkip when the
-// cardinalities are skewed beyond threshold t, BlockMerge with the given
-// lane width otherwise (Algorithm 1 lines 2-4).
-func MPS(a, b []uint32, t float64, lanes int) uint32 {
+// MPS counts |a ∩ b| with the paper's combined merge (Algorithm 1 lines
+// 2-4): PivotSkip when the cardinalities are skewed beyond threshold t,
+// Merge otherwise. The paper merges balanced pairs with the SIMD block
+// merge VB; its work is modeled through MPSStats, and the scalar merge is
+// the faster way to execute the same count.
+func MPS(a, b []uint32, t float64) uint32 {
 	if Skewed(len(a), len(b), t) {
 		return PivotSkip(a, b)
 	}
-	return BlockMerge(a, b, lanes)
+	return Merge(a, b)
 }
 
-// MPSStats is MPS with work accounting.
+// MPSStats is MPS with work accounting. Balanced pairs are counted under
+// VB's block schedule at the given lane width (BlockMergeStats), which is
+// the work the processor models charge.
 func MPSStats(a, b []uint32, t float64, lanes int, w *stats.Work) uint32 {
 	if Skewed(len(a), len(b), t) {
 		return PivotSkipStats(a, b, w)
