@@ -101,10 +101,16 @@ type Stats = graph.Stats
 // Reordering records a vertex relabeling; see ReorderByDegree.
 type Reordering = graph.Reordering
 
-func reorderByDegree(g *Graph) (*Graph, *Reordering) { return graph.ReorderByDegree(g) }
+// ReorderByDegree relabels vertices in degree-descending order, the
+// preprocessing the paper applies for BMP (§2.1), and returns the reordered
+// graph with the permutation needed to map results back. g must be
+// symmetric, as every Graph NewGraph, LoadGraph or GenerateProfile returns
+// is.
+func ReorderByDegree(g *Graph) (*Graph, *Reordering) { return graph.ReorderByDegree(g) }
 
 // MapCounts translates a count array computed on a reordered graph back to
-// the original graph's edge offsets.
+// the original graph's edge offsets. counts must be symmetric,
+// counts[e(u,v)] == counts[e(v,u)], as every count array Count returns is.
 func MapCounts(original, reordered *Graph, r *Reordering, counts []uint32) []uint32 {
 	return graph.MapCounts(original, reordered, r, counts)
 }

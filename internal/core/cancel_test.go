@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cncount/internal/graph"
 	"cncount/internal/metrics"
 	"cncount/internal/sched"
 )
@@ -101,7 +102,19 @@ func TestCountCanceledMidRunPartialStats(t *testing.T) {
 			t.Errorf("partial stats = threads %d elapsed %v", ce.Partial.Threads, ce.Partial.Elapsed)
 		}
 		if int64(len(ce.Partial.Counts)) != g.NumEdges() {
-			t.Errorf("partial counts len %d, want %d", len(ce.Partial.Counts), g.NumEdges())
+			t.Fatalf("partial counts len %d, want %d", len(ce.Partial.Counts), g.NumEdges())
+		}
+		// The partial counts stay symmetric: a reordered run's canceled
+		// path maps them back with graph.MapCounts, which relies on it.
+		for u := 0; u < g.NumVertices(); u++ {
+			for i := g.Off[u]; i < g.Off[u+1]; i++ {
+				v := g.Dst[i]
+				rev, _ := g.EdgeOffset(v, graph.VertexID(u))
+				if ce.Partial.Counts[i] != ce.Partial.Counts[rev] {
+					t.Fatalf("partial cnt[e(%d,%d)]=%d != cnt[e(%d,%d)]=%d",
+						u, v, ce.Partial.Counts[i], v, u, ce.Partial.Counts[rev])
+				}
+			}
 		}
 		if ce.Err.RemainingUnits <= 0 || ce.Err.RemainingUnits > g.NumEdges() {
 			t.Errorf("remaining = %d of %d", ce.Err.RemainingUnits, ce.Err.TotalUnits)

@@ -156,7 +156,8 @@ func CoreNumbers(g *CSR) []int32 {
 // ReorderByDegeneracy relabels vertices by descending core number (ties by
 // descending degree, then ID) — an alternative to ReorderByDegree for the
 // bitmap algorithms, compared in the ordering ablation benchmark. Returns
-// the relabeled graph and the permutation.
+// the relabeled graph and the permutation. g must be symmetric, which
+// Validate checks.
 func ReorderByDegeneracy(g *CSR) (*CSR, *Reordering) {
 	n := g.NumVertices()
 	core := CoreNumbers(g)
@@ -175,22 +176,5 @@ func ReorderByDegeneracy(g *CSR) (*CSR, *Reordering) {
 		}
 		return a < b
 	})
-
-	r := &Reordering{NewID: make([]VertexID, n), OldID: order}
-	for newID, old := range order {
-		r.NewID[old] = VertexID(newID)
-	}
-	off := make([]int64, n+1)
-	for newID := 0; newID < n; newID++ {
-		off[newID+1] = off[newID] + g.Degree(order[newID])
-	}
-	dst := make([]VertexID, len(g.Dst))
-	for newID := 0; newID < n; newID++ {
-		out := dst[off[newID]:off[newID+1]]
-		for i, v := range g.Neighbors(order[newID]) {
-			out[i] = r.NewID[v]
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return &CSR{Off: off, Dst: dst}, r
+	return relabel(g, order)
 }

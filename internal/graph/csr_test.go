@@ -332,19 +332,21 @@ func TestMapCounts(t *testing.T) {
 	g := mustGraph(t, 30, randomEdges(rng, 30, 120))
 	rg, r := ReorderByDegree(g)
 	// Synthesize a recognizable count array on the reordered graph: the
-	// count of e(u,v) is u*1000+v in original labels.
+	// count of e(u,v) is min(u,v)*1000+max(u,v) in original labels. It is
+	// symmetric, as MapCounts requires, and unique to each undirected edge.
 	counts := make([]uint32, rg.NumEdges())
 	for nu := 0; nu < rg.NumVertices(); nu++ {
 		for i := rg.Off[nu]; i < rg.Off[nu+1]; i++ {
 			ou := r.OldID[nu]
 			ov := r.OldID[rg.Dst[i]]
-			counts[i] = uint32(ou)*1000 + uint32(ov)
+			counts[i] = min(ou, ov)*1000 + max(ou, ov)
 		}
 	}
 	mapped := MapCounts(g, rg, r, counts)
 	for u := 0; u < g.NumVertices(); u++ {
 		for i := g.Off[u]; i < g.Off[u+1]; i++ {
-			want := uint32(u)*1000 + g.Dst[i]
+			v := g.Dst[i]
+			want := min(VertexID(u), v)*1000 + max(VertexID(u), v)
 			if mapped[i] != want {
 				t.Fatalf("mapped[%d] = %d, want %d", i, mapped[i], want)
 			}

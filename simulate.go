@@ -194,10 +194,3 @@ func Simulate(g *Graph, opts SimOptions) (*SimResult, error) {
 		return nil, fmt.Errorf("cncount: unknown processor %d", int(opts.Processor))
 	}
 }
-
-// ReorderByDegree relabels vertices in degree-descending order, the
-// preprocessing the paper applies for BMP (§2.1), and returns the reordered
-// graph with the permutation needed to map results back.
-func ReorderByDegree(g *Graph) (*Graph, *Reordering) {
-	return reorderByDegree(g)
-}
