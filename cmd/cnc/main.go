@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cnc -graph graph.txt -algo bmp -reorder
+//	cnc -graph graph.txt -algo bmprf -reorder
 //	cnc -profile TW -scale 0.5 -algo mps -threads 8
 //	cnc -profile LJ -processor knl -algo mps    # modeled KNL time
 //	cnc -profile TW -algo bmp -metrics -        # JSON metrics snapshot
@@ -86,7 +86,7 @@ func main() {
 	flag.IntVar(&cfg.taskSize, "tasksize", 0, "edge offsets per scheduled task (0 = default)")
 	flag.Float64Var(&cfg.skew, "skew", 0, "MPS degree-skew threshold t (0 = default 50)")
 	flag.IntVar(&cfg.rangeScale, "rangescale", 0, "RF bitmap:filter ratio (0 = default)")
-	flag.BoolVar(&cfg.reorder, "reorder", true, "degree-descending reordering before counting")
+	flag.BoolVar(&cfg.reorder, "reorder", true, "degree-descending reordering before counting (m, mps, bmprf; bmp orients edges by degree itself and relabels nothing)")
 	flag.BoolVar(&cfg.work, "work", false, "collect and print abstract work counters")
 	flag.StringVar(&cfg.processor, "processor", "", "also model elapsed time on: cpu, knl, gpu")
 	flag.BoolVar(&cfg.verify, "verify", false, "cross-check against the reference counter (slow)")
@@ -354,12 +354,14 @@ func flushOutputs(cfg appConfig, mc *cncount.Metrics, tr *cncount.Tracer, out *e
 
 // resolvedConfig records the run configuration for the manifest, so a
 // metrics snapshot (and anything scraped from /metrics) names the exact
-// flags that produced it.
+// flags that produced it. reorder is the relabel that runs: never for bmp,
+// which orients edges by degree itself.
 func (cfg appConfig) resolvedConfig() map[string]string {
+	algo, _ := serve.ParseAlgo(cfg.algoName)
 	m := map[string]string{
 		"algo":    cfg.algoName,
 		"threads": strconv.Itoa(cfg.threads),
-		"reorder": strconv.FormatBool(cfg.reorder),
+		"reorder": strconv.FormatBool(cfg.reorder && algo != cncount.AlgoBMP),
 	}
 	if cfg.graphPath != "" {
 		m["graph"] = cfg.graphPath

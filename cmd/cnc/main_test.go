@@ -83,27 +83,22 @@ func TestRunMetricsSnapshotToStdout(t *testing.T) {
 		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
 	}
 
-	// The snapshot is the single line starting with '{' (everything else
-	// cnc prints is plain text).
-	var jsonLine string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "{") {
-			jsonLine = line
-			break
-		}
-	}
-	if jsonLine == "" {
-		t.Fatalf("no JSON snapshot in output:\n%s", buf.String())
-	}
-	var snap cncount.MetricsSnapshot
-	if err := json.Unmarshal([]byte(jsonLine), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, jsonLine)
-	}
-
-	for _, phase := range []string{"generate", "reorder", "core.setup", "core.count", "core.reduce", "map_counts"} {
+	snap := stdoutSnapshot(t, buf.String())
+	for _, phase := range []string{"generate", "core.setup", "core.count", "core.reduce"} {
 		if _, ok := snap.Phase(phase); !ok {
 			t.Errorf("phase %q missing from snapshot", phase)
 		}
+	}
+	// BMP orients each edge by degree itself, so -reorder relabels nothing
+	// for it and the manifest says so (TestRunReorderPhases covers an
+	// algorithm that relabels).
+	for _, phase := range []string{"reorder", "map_counts"} {
+		if _, ok := snap.Phase(phase); ok {
+			t.Errorf("BMP run recorded phase %q", phase)
+		}
+	}
+	if snap.Manifest == nil || snap.Manifest.Config["reorder"] != "false" {
+		t.Errorf("BMP run's manifest does not record reorder=false: %+v", snap.Manifest)
 	}
 	if snap.Counters["core.edges_scanned"] == 0 {
 		t.Error("edges_scanned counter missing or zero")
@@ -124,6 +119,59 @@ func TestRunMetricsSnapshotToStdout(t *testing.T) {
 	}
 	if sc.Imbalance.Ratio < 1.0 {
 		t.Errorf("imbalance ratio = %g, want >= 1 for a real run", sc.Imbalance.Ratio)
+	}
+}
+
+// stdoutSnapshot decodes the metrics snapshot from cnc's stdout: the
+// single line starting with '{' (everything else cnc prints is plain
+// text).
+func stdoutSnapshot(t *testing.T, out string) cncount.MetricsSnapshot {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "{") {
+			continue
+		}
+		var snap cncount.MetricsSnapshot
+		if err := json.Unmarshal([]byte(line), &snap); err != nil {
+			t.Fatalf("snapshot is not valid JSON: %v\n%s", err, line)
+		}
+		return snap
+	}
+	t.Fatalf("no JSON snapshot in output:\n%s", out)
+	return cncount.MetricsSnapshot{}
+}
+
+// TestRunReorderPhases runs -reorder with MPS, which still relabels:
+// the metrics snapshot and the trace both carry the reorder and
+// map_counts phases, and the manifest records reorder=true.
+func TestRunReorderPhases(t *testing.T) {
+	cfg := smallRun()
+	cfg.algoName = "mps"
+	cfg.metricsOut = "-"
+	cfg.traceOut = filepath.Join(t.TempDir(), "out.json")
+	var buf bytes.Buffer
+	if err := run(context.Background(), cfg, &buf); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+	}
+	snap := stdoutSnapshot(t, buf.String())
+	data, err := os.ReadFile(cfg.traceOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, names, err := trace.SpanCount(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"reorder", "map_counts"} {
+		if _, ok := snap.Phase(phase); !ok {
+			t.Errorf("phase %q missing from snapshot", phase)
+		}
+		if names[phase] == 0 {
+			t.Errorf("phase span %q missing from trace; spans: %v", phase, names)
+		}
+	}
+	if snap.Manifest == nil || snap.Manifest.Config["reorder"] != "true" {
+		t.Errorf("MPS run's manifest does not record reorder=true: %+v", snap.Manifest)
 	}
 }
 
@@ -158,7 +206,7 @@ func TestRunMetricsFileCreateErrorExitsNonZero(t *testing.T) {
 // TestRunTraceFile drives `cnc -graph saved.bin -trace out.json` end to
 // end on a generated-then-saved graph and schema-checks the timeline:
 // valid Chrome trace-event JSON, at least one span per sched worker, and
-// all three Count phases.
+// all three core phases.
 func TestRunTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	g, err := cncount.GenerateProfile("WI", 0.1)
@@ -202,9 +250,14 @@ func TestRunTraceFile(t *testing.T) {
 			t.Errorf("sched worker %d (tid %d) has no spans; per-tid: %v", w, w+1, perTid)
 		}
 	}
-	for _, phase := range []string{"graph.parse", "graph.build", "core.setup", "core.count", "core.reduce", "reorder", "map_counts"} {
+	for _, phase := range []string{"graph.parse", "graph.build", "core.setup", "core.count", "core.reduce"} {
 		if names[phase] == 0 {
 			t.Errorf("phase span %q missing from trace; spans: %v", phase, names)
+		}
+	}
+	for _, phase := range []string{"reorder", "map_counts"} {
+		if names[phase] != 0 {
+			t.Errorf("BMP run traced phase %q; spans: %v", phase, names)
 		}
 	}
 }

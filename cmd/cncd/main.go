@@ -352,7 +352,7 @@ func setupIngest(cfg appConfig, g *cncount.Graph, name string, srv *serve.Server
 		return nil, err
 	}
 	stop := mc.StartPhase("boot_count")
-	res, err := cncount.Count(g, cncount.Options{Threads: cfg.threads, Metrics: mc})
+	res, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP, Threads: cfg.threads, Metrics: mc})
 	stop()
 	if err != nil {
 		return nil, fmt.Errorf("boot count for the update path: %w", err)

@@ -182,6 +182,53 @@ func TestRunInProcessLifecycle(t *testing.T) {
 	}
 }
 
+// TestBootCountRunsBMP pins the algorithm of the boot count that seeds
+// the update path's per-edge counts: /metrics, scraped after the updates
+// banner and before any /v1/count, shows BMP's kernel calls and no
+// merge (AlgoM, Options' zero value).
+func TestBootCountRunsBMP(t *testing.T) {
+	var logs syncBuffer
+	logger, err := logx.New(&logs, "text", "cncd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := appConfig{
+		profile: "WI", scale: 0.05,
+		listen:     "127.0.0.1:0",
+		inflight:   16,
+		deadline:   5 * time.Second,
+		drainGrace: 5 * time.Second,
+		threads:    2,
+		fsync:      "off",
+		updates:    true,
+		logger:     logger,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var out syncBuffer
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, cfg, &out) }()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("drained run returned %v", err)
+		}
+	}()
+	base := "http://" + waitAddr(t, &out, 10*time.Second)
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(logs.String(), "updates enabled"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no updates banner:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	_, _, body := get(t, base+"/metrics")
+	if !strings.Contains(body, `cncount_counter_total{name="core.kernel_calls_BMP"}`) {
+		t.Errorf("/metrics lacks the boot count's BMP kernel calls:\n%s", body)
+	}
+	if strings.Contains(body, `core.kernel_calls_M"`) {
+		t.Errorf("boot count ran the baseline merge:\n%s", body)
+	}
+}
+
 func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "cncd")

@@ -85,7 +85,7 @@ func run(cfg appConfig, stdout io.Writer) error {
 			res.SimilarityChecks, res.EdgesTotal,
 			100*float64(res.SimilarityChecks)/float64(max(res.EdgesTotal, 1)))
 	case "counts":
-		cres, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP, Reorder: true})
+		cres, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP})
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,22 +21,66 @@ func testGraph(t *testing.T) *Graph {
 	return g
 }
 
+// degreeAscending returns TW ×0.05 relabeled in degree-ascending order:
+// ReorderByDegree, then every ID reversed.
+func degreeAscending(t *testing.T) *Graph {
+	t.Helper()
+	g, err := GenerateProfile("TW", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, _ := ReorderByDegree(g)
+	n := rg.NumVertices()
+	edges := rg.Edges()
+	for i := range edges {
+		edges[i] = Edge{U: VertexID(n-1) - edges[i].U, V: VertexID(n-1) - edges[i].V}
+	}
+	asc, err := NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asc
+}
+
 func TestCountAllAlgorithms(t *testing.T) {
-	g := testGraph(t)
-	want := verify.Counts(g)
-	for _, algo := range Algorithms {
-		for _, reorder := range []bool{false, true} {
-			res, err := Count(g, Options{Algorithm: algo, Reorder: reorder, Threads: 2})
-			if err != nil {
-				t.Fatalf("%v reorder=%v: %v", algo, reorder, err)
-			}
-			for e := range want {
-				if res.Counts[e] != want[e] {
-					t.Fatalf("%v reorder=%v: cnt[%d] = %d, want %d",
-						algo, reorder, e, res.Counts[e], want[e])
+	for name, g := range map[string]*Graph{"LJ": testGraph(t), "TW ascending": degreeAscending(t)} {
+		want := verify.Counts(g)
+		for _, algo := range Algorithms {
+			for _, reorder := range []bool{false, true} {
+				res, err := Count(g, Options{Algorithm: algo, Reorder: reorder, Threads: 2})
+				if err != nil {
+					t.Fatalf("%s %v reorder=%v: %v", name, algo, reorder, err)
+				}
+				for e := range want {
+					if res.Counts[e] != want[e] {
+						t.Fatalf("%s %v reorder=%v: cnt[%d] = %d, want %d",
+							name, algo, reorder, e, res.Counts[e], want[e])
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestCountBMPAllocation guards BMP's reorder-free path: a Count with
+// Reorder set allocates the count array and per-worker state, at most 5 B
+// per directed edge. A relabeled CSR and a mapped count array would add
+// about 9 B more.
+func TestCountBMPAllocation(t *testing.T) {
+	g, err := GenerateProfile("TW", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Count(g, Options{Algorithm: AlgoBMP, Reorder: true, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	if perEdge > 5 {
+		t.Errorf("BMP Count allocated %.2f B per directed edge, want <= 5", perEdge)
 	}
 }
 
@@ -112,11 +157,13 @@ func TestReorderByDegreeFacade(t *testing.T) {
 // TestCountCanceledReorderedMapsPartialCounts cancels a reordered run
 // mid-count and checks its partial counts come back at the original
 // graph's edge offsets: every entry is either 0 (not reached before the
-// cancel) or the full run's count at that offset.
+// cancel) or the full run's count at that offset. The merge relabels and
+// maps the partial array back; BMP relabels nothing, so core's partial
+// array is already at the original offsets.
 func TestCountCanceledReorderedMapsPartialCounts(t *testing.T) {
 	// A uniform random graph: reordering by degree relabels nearly every
 	// vertex, so an unmapped partial array lands on the wrong offsets. The
-	// instrumented merge at task size 1 keeps the region tens of ms long.
+	// instrumented kernels at task size 1 keep the region tens of ms long.
 	rng := rand.New(rand.NewSource(11))
 	edges := make([]Edge, 60000)
 	for i := range edges {
@@ -126,7 +173,15 @@ func TestCountCanceledReorderedMapsPartialCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Algorithm: AlgoM, Reorder: true, Threads: 4, TaskSize: 1, CollectWork: true}
+	for _, algo := range []Algorithm{AlgoM, AlgoBMP} {
+		t.Run(algo.String(), func(t *testing.T) { cancelMidCount(t, g, algo) })
+	}
+}
+
+// cancelMidCount is TestCountCanceledReorderedMapsPartialCounts for one
+// algorithm.
+func cancelMidCount(t *testing.T, g *Graph, algo Algorithm) {
+	opts := Options{Algorithm: algo, Reorder: true, Threads: 4, TaskSize: 1, CollectWork: true}
 	full, err := Count(g, opts)
 	if err != nil {
 		t.Fatal(err)

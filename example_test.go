@@ -23,7 +23,7 @@ func k4() *cncount.Graph {
 
 func ExampleCount() {
 	g := k4()
-	res, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP, Reorder: true})
+	res, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP})
 	if err != nil {
 		panic(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP, Reorder: true})
+	res, err := cncount.Count(g, cncount.Options{Algorithm: cncount.AlgoBMP})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,6 +48,18 @@ func (b *Bitmap) Test(v uint32) bool {
 	return b.words[v>>wordLog]&(1<<(v&(wordBits-1))) != 0
 }
 
+// CountSet returns how many vertices of vs have their bit set. The word
+// slice is held in a local and each probe adds its bit, so the loop does
+// not reload the slice header from b and has no data-dependent branch.
+func (b *Bitmap) CountSet(vs []uint32) uint32 {
+	words := b.words
+	var c uint32
+	for _, v := range vs {
+		c += uint32(words[v>>wordLog] >> (v & (wordBits - 1)) & 1)
+	}
+	return c
+}
+
 // SetList sets the bit of every vertex in vs (bitmap construction for N(u)).
 func (b *Bitmap) SetList(vs []uint32) {
 	for _, v := range vs {

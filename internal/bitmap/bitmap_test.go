@@ -38,6 +38,10 @@ func TestBitmapListRoundTrip(t *testing.T) {
 			t.Errorf("bit %d missing", v)
 		}
 	}
+	// Probes in every word position, set and unset, with a repeat.
+	if c := b.CountSet([]uint32{0, 3, 63, 64, 65, 66, 100, 100, 510, 511}); c != 6 {
+		t.Errorf("CountSet = %d, want 6", c)
+	}
 	b.ClearList(vs)
 	if b.PopCount() != 0 {
 		t.Errorf("PopCount = %d after ClearList, want 0", b.PopCount())

@@ -1,19 +1,14 @@
 package core
 
-import (
-	"math/bits"
-
-	"cncount/internal/graph"
-	"cncount/internal/metrics"
-)
+import "cncount/internal/metrics"
 
 // attrSampleEvery is the per-bucket sampling stride of the attribution
 // timing: within each degree bucket, every 256th kernel call is timed
 // with a time.Now pair. Power of two so the stride test is a mask.
 const attrSampleEvery = 256
 
-// attrBuckets bounds the degree-bucket axis: degLens holds the bit
-// length of an int64 degree, 1..64, indexed directly.
+// attrBuckets bounds the degree-bucket axis: a bucket is the bit length
+// of an int64 degree, 1..64, indexed directly.
 const attrBuckets = 65
 
 // attrCell is one degree-bucket accumulator.
@@ -41,17 +36,6 @@ func attrKernelName(alg Algorithm) string {
 		return "bitmap-rf"
 	}
 	return alg.String()
-}
-
-// degLens precomputes every vertex's degree bit length in one O(V) setup
-// pass, so the per-edge bucket is two one-byte loads and a compare.
-// Degrees < 1 count as 1: an empty side makes every kernel return 0.
-func degLens(g *graph.CSR) []uint8 {
-	lens := make([]uint8, g.NumVertices())
-	for u := range lens {
-		lens[u] = uint8(bits.Len64(uint64(max(g.Degree(uint32(u)), 1))))
-	}
-	return lens
 }
 
 // foldAttribution sums the per-worker rows into one metrics row for the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 	"time"
 
 	"cncount/internal/bitmap"
@@ -58,8 +60,8 @@ type workerCtx struct {
 	rf     *bitmap.RangeFiltered
 	pu     int64 // last vertex whose neighbors the bitmap indexes; -1 = none
 	work   stats.Work
-	// kernelCalls counts intersections this worker computed (edges with
-	// u < v); tallied only when Options.Metrics is set.
+	// kernelCalls counts intersections this worker computed (the edges
+	// its rows own); tallied only when Options.Metrics is set.
 	kernelCalls uint64
 	// attr is the worker's per-degree-bucket attribution row; nil unless
 	// Options.Metrics is set.
@@ -71,9 +73,10 @@ type workerCtx struct {
 
 // Count computes the all-edge common neighbor counts of g.
 //
-// For the bitmap algorithms the caller should pass a degree-descending
-// reordered graph (graph.ReorderByDegree) to obtain the paper's
-// O(min(d_u,d_v)) per-intersection bound; counting is correct either way.
+// Each edge is computed from its larger-degree endpoint's row (see owns),
+// so BMP has the paper's O(min(d_u,d_v)) per-intersection bound on any
+// vertex order. BMP-RF's range filter still depends on the ID layout and
+// wants a degree-descending graph (graph.ReorderByDegree).
 func Count(g *graph.CSR, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -215,7 +218,8 @@ func indexBytes(o Options, n int64) int64 {
 
 // makeBody builds the per-chunk edge loop of Algorithm 3 for the selected
 // algorithm: recover the source vertex u of each edge offset, compute the
-// count when u < v, and symmetrically assign it to the reverse offset.
+// count when u's row owns the edge (see owns), and symmetrically assign it
+// to the reverse offset.
 //
 // With Options.Metrics set the loop additionally attributes every kernel
 // call to its min-degree bucket and samples its wall time once per
@@ -228,11 +232,12 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 		return func(worker int, lo, hi int64) {
 			ctx := &contexts[worker]
 			for e := lo; e < hi; e++ {
-				v := g.Dst[e]
-				u := ctx.finder.Find(e)
-				if u >= v {
+				u, v := ctx.finder.Find(e), g.Dst[e]
+				vLo, vHi := g.Off[v], g.Off[v+1]
+				if !owns(g.Degree(u), vHi-vLo, u, v) {
 					continue
 				}
+				nv := g.Dst[vLo:vHi]
 				if collect {
 					// The symmetric assignment writes two count-array entries —
 					// the reverse one at an uncorrelated offset — and performs
@@ -240,109 +245,114 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 					// the paper measures.
 					ctx.work.BytesStreamed += 8
 					ctx.work.RandomAccesses++
-					ctx.work.BinarySteps += log2(g.Degree(v))
+					ctx.work.BinarySteps += log2(vHi - vLo)
 				}
-				c := kernel(ctx, u, v)
+				c := kernel(ctx, u, nv)
 				counts[e] = c
-				rev, ok := g.EdgeOffset(v, u)
-				if ok {
-					counts[rev] = c
+				if i, ok := slices.BinarySearch(nv, u); ok {
+					counts[vLo+int64(i)] = c
 				}
 			}
 		}
 	}
-	// Metered body: same loop plus attribution.
-	lens := degLens(g)
+	// Metered body: same loop plus attribution. owns puts the smaller
+	// degree on v, so d_v's bit length is the min-degree bucket.
 	return func(worker int, lo, hi int64) {
 		ctx := &contexts[worker]
 		attr := ctx.attr
 		for e := lo; e < hi; e++ {
-			v := g.Dst[e]
-			u := ctx.finder.Find(e)
-			if u >= v {
+			u, v := ctx.finder.Find(e), g.Dst[e]
+			vLo, vHi := g.Off[v], g.Off[v+1]
+			if !owns(g.Degree(u), vHi-vLo, u, v) {
 				continue
 			}
+			nv := g.Dst[vLo:vHi]
 			ctx.kernelCalls++
 			if collect {
 				ctx.work.BytesStreamed += 8
 				ctx.work.RandomAccesses++
-				ctx.work.BinarySteps += log2(g.Degree(v))
+				ctx.work.BinarySteps += log2(vHi - vLo)
 			}
-			bkt := lens[u]
-			if l := lens[v]; l < bkt {
-				bkt = l
-			}
-			cell := &attr[bkt]
+			cell := &attr[bits.Len64(uint64(vHi-vLo))]
 			cell.count++
 			var c uint32
 			if cell.count&(attrSampleEvery-1) == 1 {
 				start := time.Now()
-				c = kernel(ctx, u, v)
+				c = kernel(ctx, u, nv)
 				cell.sampledNanos += uint64(time.Since(start))
 				cell.samples++
 			} else {
-				c = kernel(ctx, u, v)
+				c = kernel(ctx, u, nv)
 			}
 			counts[e] = c
-			rev, ok := g.EdgeOffset(v, u)
-			if ok {
-				counts[rev] = c
+			if i, ok := slices.BinarySearch(nv, u); ok {
+				counts[vLo+int64(i)] = c
 			}
 		}
 	}
 }
 
+// owns is the edge loop's orientation rule: edge (u,v) is computed from
+// u's row when d_u > d_v, or d_u == d_v and u < v. Each undirected edge
+// is computed once, and BMP's bitmap indexes the larger row, so every
+// intersection probes min(d_u, d_v) elements on any vertex order. On a
+// degree-descending graph (graph.ReorderByDegree) the owned edges are
+// exactly those with u < v.
+func owns(du, dv int64, u, v uint32) bool {
+	return du > dv || du == dv && u < v
+}
+
 // makeKernel returns the per-edge ComputeCnt procedure for the algorithm.
-func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCtx, uint32, uint32) uint32 {
+func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCtx, uint32, []uint32) uint32 {
 	switch opts.Algorithm {
 	case AlgoM:
 		if opts.CollectWork {
-			return func(ctx *workerCtx, u, v uint32) uint32 {
-				return intersect.MergeStats(g.Neighbors(u), g.Neighbors(v), &ctx.work)
+			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
+				return intersect.MergeStats(g.Neighbors(u), nv, &ctx.work)
 			}
 		}
-		return func(_ *workerCtx, u, v uint32) uint32 {
-			return intersect.Merge(g.Neighbors(u), g.Neighbors(v))
+		return func(_ *workerCtx, u uint32, nv []uint32) uint32 {
+			return intersect.Merge(g.Neighbors(u), nv)
 		}
 
 	case AlgoMPS:
 		t, lanes := opts.SkewThreshold, opts.Lanes
 		if opts.CollectWork {
-			return func(ctx *workerCtx, u, v uint32) uint32 {
-				return intersect.MPSStats(g.Neighbors(u), g.Neighbors(v), t, lanes, &ctx.work)
+			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
+				return intersect.MPSStats(g.Neighbors(u), nv, t, lanes, &ctx.work)
 			}
 		}
-		return func(_ *workerCtx, u, v uint32) uint32 {
-			return intersect.MPS(g.Neighbors(u), g.Neighbors(v), t)
+		return func(_ *workerCtx, u uint32, nv []uint32) uint32 {
+			return intersect.MPS(g.Neighbors(u), nv, t)
 		}
 
 	case AlgoBMP:
 		if opts.CollectWork {
-			return func(ctx *workerCtx, u, v uint32) uint32 {
+			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
 				refreshBitmap(g, ctx, u, true)
-				return intersect.BitmapStats(ctx.bm, g.Neighbors(v), &ctx.work)
+				return intersect.BitmapStats(ctx.bm, nv, &ctx.work)
 			}
 		}
 		// Consecutive edges mostly share their source, so the warm-source
 		// test runs inline and the refresh call is paid only when the
 		// source changes.
-		return func(ctx *workerCtx, u, v uint32) uint32 {
+		return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
 			if ctx.pu != int64(u) {
 				refreshBitmap(g, ctx, u, false)
 			}
-			return intersect.Bitmap(ctx.bm, g.Neighbors(v))
+			return intersect.Bitmap(ctx.bm, nv)
 		}
 
 	case AlgoBMPRF:
 		if opts.CollectWork {
-			return func(ctx *workerCtx, u, v uint32) uint32 {
+			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
 				refreshRF(g, ctx, u, true)
-				return intersect.BitmapRFStats(ctx.rf, g.Neighbors(v), &ctx.work)
+				return intersect.BitmapRFStats(ctx.rf, nv, &ctx.work)
 			}
 		}
-		return func(ctx *workerCtx, u, v uint32) uint32 {
+		return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
 			refreshRF(g, ctx, u, false)
-			return intersect.BitmapRF(ctx.rf, g.Neighbors(v))
+			return intersect.BitmapRF(ctx.rf, nv)
 		}
 	}
 	panic("core: unreachable: options validated")

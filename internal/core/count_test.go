@@ -42,7 +42,7 @@ func TestCountAllAlgorithmsAgainstReference(t *testing.T) {
 }
 
 func TestCountReorderedGraph(t *testing.T) {
-	// BMP's complexity bound needs the degree-descending ordering; counting
+	// BMP-RF's range filter wants the degree-descending ordering; counting
 	// must be correct on both the original and the reordered labeling, and
 	// MapCounts must translate between them.
 	g := randomGraph(t, 2, 150, 1200)
@@ -139,6 +139,56 @@ func TestCountPropertyAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// minDegreeSum returns Σ min(d_u, d_v) over g's undirected edges.
+func minDegreeSum(g *graph.CSR) uint64 {
+	var sum uint64
+	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				sum += uint64(min(g.Degree(u), g.Degree(v)))
+			}
+		}
+	}
+	return sum
+}
+
+// TestCountBMPProbesMinDegree pins the orientation rule: on any vertex
+// order BMP indexes the larger row and probes the smaller one, so its
+// bitmap tests sum to Σ min(d_u, d_v). The star's hub has the largest ID:
+// computing the u < v edges instead would probe the hub's row from every
+// leaf, (n-1)² tests instead of n-1.
+func TestCountBMPProbesMinDegree(t *testing.T) {
+	const n = 50
+	star := make([]graph.Edge, n-1)
+	for i := range star {
+		star[i] = graph.Edge{U: graph.VertexID(i), V: n - 1}
+	}
+	g, err := graph.FromEdges(n, star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 4} {
+		tests := func(g *graph.CSR) uint64 {
+			res, err := Count(g, Options{Algorithm: AlgoBMP, Threads: threads, TaskSize: 1, CollectWork: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Work.BitmapTests
+		}
+		if got := tests(g); got != n-1 {
+			t.Errorf("threads=%d: star bitmap tests = %d, want %d", threads, got, n-1)
+		}
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g := randomGraph(t, seed, 5+rng.Intn(80), rng.Intn(500))
+			return tests(g) == minDegreeSum(g)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("threads=%d: %v", threads, err)
+		}
+	}
+}
+
 func TestCountCollectWork(t *testing.T) {
 	g := randomGraph(t, 5, 100, 600)
 	for _, algo := range Algorithms {
@@ -149,7 +199,7 @@ func TestCountCollectWork(t *testing.T) {
 		if res.Work.Intersections == 0 {
 			t.Errorf("%v: no intersections recorded", algo)
 		}
-		// Every u<v edge is one intersection.
+		// Every undirected edge is one intersection.
 		var want uint64
 		for u := 0; u < g.NumVertices(); u++ {
 			for _, v := range g.Neighbors(graph.VertexID(u)) {
@@ -161,7 +211,7 @@ func TestCountCollectWork(t *testing.T) {
 		if res.Work.Intersections != want {
 			t.Errorf("%v: %d intersections recorded, want %d", algo, res.Work.Intersections, want)
 		}
-		// Sum of matches equals sum of counts over u<v edges.
+		// Sum of matches equals sum of counts over one direction.
 		var matchSum uint64
 		for u := 0; u < g.NumVertices(); u++ {
 			for i := g.Off[u]; i < g.Off[u+1]; i++ {

@@ -27,7 +27,7 @@ func TestCountRecordsMetrics(t *testing.T) {
 			if got := s.Counters["core.edges_scanned"]; got != uint64(g.NumEdges()) {
 				t.Errorf("edges_scanned = %d, want %d", got, g.NumEdges())
 			}
-			// Every undirected edge is intersected exactly once (u < v).
+			// Every undirected edge is intersected exactly once.
 			wantKernels := uint64(g.NumEdges() / 2)
 			if got := s.Counters["core.kernel_calls_"+algo.String()]; got != wantKernels {
 				t.Errorf("kernel_calls = %d, want %d", got, wantKernels)

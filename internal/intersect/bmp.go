@@ -8,24 +8,13 @@ import (
 // Bitmap counts |N(u) ∩ A| where b is the bitmap index of N(u): loop over
 // every w ∈ A and count the set bits (Algorithm 2, IntersectBMP).
 func Bitmap(b *bitmap.Bitmap, a []uint32) uint32 {
-	var c uint32
-	for _, w := range a {
-		if b.Test(w) {
-			c++
-		}
-	}
-	return c
+	return b.CountSet(a)
 }
 
 // BitmapStats is Bitmap with work accounting. Every probe of the
 // full-cardinality bitmap is a potentially cache-missing random access.
 func BitmapStats(b *bitmap.Bitmap, a []uint32, w *stats.Work) uint32 {
-	var c uint32
-	for _, v := range a {
-		if b.Test(v) {
-			c++
-		}
-	}
+	c := Bitmap(b, a)
 	w.Intersections++
 	w.BitmapTests += uint64(len(a))
 	w.RandomAccesses += uint64(len(a))
