@@ -2,13 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race check benchmodule fuzz bench benchdiff benchreport microbench experiments examples clean
+.PHONY: all build vet fmt test race check benchmodule fuzz microbench experiments examples clean
 
 # The default verify path is `make check`: build + vet + gofmt + tests +
 # the race detector on the small-graph packages + the bench/ module. Every
-# end-to-end flow (serving, request tracing, WAL crash recovery, the
-# benchmark and report pipelines, chaos) is a Go test, so `go test ./...`
-# alone runs them all.
+# end-to-end flow (serving, request tracing, WAL crash recovery, chaos)
+# is a Go test, so `go test ./...` alone runs them all.
 all: check
 
 build:
@@ -28,7 +27,7 @@ test:
 # Race detection runs on the packages whose tests use small graphs; the
 # full profile-scale workloads are too slow under the race detector.
 race:
-	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/gpusim/ ./internal/graph/ ./internal/scan/ ./internal/metrics/ ./internal/trace/ ./internal/obs/ ./internal/benchfmt/ ./internal/chaos/ ./internal/serve/ ./internal/reqctx/ ./internal/wal/ ./internal/dynamic/ ./cmd/cnc/ ./cmd/benchrun/ ./cmd/cncd/ ./cmd/cncload/
+	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/gpusim/ ./internal/graph/ ./internal/scan/ ./internal/metrics/ ./internal/trace/ ./internal/obs/ ./internal/chaos/ ./internal/serve/ ./internal/reqctx/ ./internal/wal/ ./internal/dynamic/ ./cmd/cnc/ ./cmd/cncd/
 
 # bench/ is its own Go module (replace cncount => ../), so the root
 # `go test ./...` never compiles it: vet and test it here so a rename in
@@ -46,26 +45,6 @@ fuzz:
 	$(GO) test -fuzz FuzzReadMETIS -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzParseTraceparent -fuzztime 30s ./internal/reqctx/
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/wal/
-
-# Continuous benchmark harness: run the graph × algorithm × workers
-# matrix and write a schema-versioned BENCH_local.json (~seconds, not
-# minutes). Override the label with `make bench LABEL=mybranch`.
-LABEL ?= local
-bench:
-	$(GO) run ./cmd/benchrun -label $(LABEL)
-
-# Diff two benchmark reports; exits non-zero when any matrix cell slowed
-# past the threshold: `make benchdiff BASE=BENCH_main.json HEAD=BENCH_pr.json`.
-BASE ?= BENCH_main.json
-HEAD ?= BENCH_local.json
-benchdiff:
-	$(GO) run ./cmd/benchrun -baseline $(BASE) -input $(HEAD)
-
-# Human-facing trend + kernel-attribution report over all committed
-# reports (a lens, not a gate — benchdiff stays the CI gate):
-# `make benchreport` prints text; add REPORT=out.html for the HTML page.
-benchreport:
-	$(GO) run ./cmd/benchreport $(if $(REPORT),-html $(REPORT)) BENCH_*.json
 
 # Go microbenchmarks (kernel and overhead-guard level).
 microbench:

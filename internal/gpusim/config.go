@@ -34,9 +34,6 @@ const (
 	// blocks simultaneously scheduled on a SM").
 	MaxThreadsPerSM = 2048
 	MaxBlocksPerSM  = 16
-	// SharedMemPerSM is the on-chip shared memory available to the range
-	// filter ("48KB per SM"). On-chip SRAM is not scaled with the dataset.
-	SharedMemPerSM = 48 << 10
 	// DefaultWarpsPerBlock is the paper's default tuning ("we use 4 warps
 	// per thread block", 100% theoretical occupancy).
 	DefaultWarpsPerBlock = 4
@@ -83,7 +80,7 @@ type Config struct {
 	SkewThreshold float64
 
 	// RangeScale configures the shared-memory range filter for AlgoBMPRF;
-	// <= 0 picks the smallest power of two whose filter fits shared memory.
+	// <= 0 uses 64.
 	RangeScale int
 
 	// CoProcessing enables the CPU-GPU co-processing of the symmetric
@@ -210,17 +207,4 @@ func PlanPasses(g *graph.CSR, cfg Config) MemoryPlan {
 	}
 	plan.Passes = int(passes)
 	return plan
-}
-
-// FitRangeScale returns the smallest power-of-two range scale whose filter
-// bitmap fits the SM shared memory for a graph with n vertices.
-func FitRangeScale(n uint32) int {
-	scale := 1
-	for {
-		_, filterBytes := bitmap.MemoryFootprint(n, scale)
-		if filterBytes <= SharedMemPerSM {
-			return scale
-		}
-		scale <<= 1
-	}
 }

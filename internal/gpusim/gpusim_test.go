@@ -147,24 +147,6 @@ func TestPlanPasses(t *testing.T) {
 	}
 }
 
-func TestFitRangeScale(t *testing.T) {
-	// The returned scale's filter must fit shared memory, and the next
-	// smaller power of two must not (minimality), for a huge |V|.
-	n := uint32(2_000_000_000)
-	scale := FitRangeScale(n)
-	if scale < 2 {
-		t.Fatalf("scale = %d", scale)
-	}
-	filterBits := (int64(n) + int64(scale) - 1) / int64(scale)
-	if filterBits/8 > SharedMemPerSM {
-		t.Errorf("scale %d filter does not fit shared memory", scale)
-	}
-	halfBits := (int64(n) + int64(scale/2) - 1) / int64(scale/2)
-	if halfBits/8 <= SharedMemPerSM-8 {
-		t.Errorf("scale %d not minimal", scale)
-	}
-}
-
 func TestThrashingDetection(t *testing.T) {
 	g := randomGraph(t, 6, 400, 5000)
 	// Force a memory budget smaller than the per-pass hot set. MPS has no

@@ -1,10 +1,10 @@
 // Package logx is the shared logging setup of the cncount commands: one
 // constructor that turns a `-logfmt text|json` flag value into a
-// *slog.Logger, so heartbeats, cell lifecycle events and watchdog stall
-// reports come out as structured events instead of ad-hoc stderr prints.
-// Text mode keeps the human-at-a-terminal shape the commands always had;
-// json mode makes a long benchmark or experiment run machine-tailable
-// (`benchrun -logfmt json 2>run.jsonl`).
+// *slog.Logger, so lifecycle events and watchdog stall reports come out
+// as structured events instead of ad-hoc stderr prints. Text mode keeps
+// the human-at-a-terminal shape the commands always had; json mode makes
+// a long experiment run or a daemon's log machine-tailable
+// (`experiments -logfmt json 2>run.jsonl`).
 package logx
 
 import (

@@ -25,16 +25,16 @@ func TestNewTextDefault(t *testing.T) {
 
 func TestNewJSON(t *testing.T) {
 	var b strings.Builder
-	l, err := New(&b, "json", "benchrun")
+	l, err := New(&b, "json", "experiments")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Info("cell finished", "ns_per_edge", 42.5)
+	l.Info("experiment done", "ns_per_edge", 42.5)
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(b.String()), &rec); err != nil {
 		t.Fatalf("json mode emitted non-JSON: %v\n%s", err, b.String())
 	}
-	if rec["msg"] != "cell finished" || rec["component"] != "benchrun" || rec["ns_per_edge"] != 42.5 {
+	if rec["msg"] != "experiment done" || rec["component"] != "experiments" || rec["ns_per_edge"] != 42.5 {
 		t.Errorf("record = %v", rec)
 	}
 }

@@ -46,7 +46,7 @@ func TestRecordKernelAttrNilSafe(t *testing.T) {
 }
 
 // TestAttributionJSONRoundTrip checks the snapshot's attribution encodes
-// and decodes losslessly (benchfmt embeds it in BENCH reports).
+// and decodes losslessly (cnc -metrics writes it in the JSON snapshot).
 func TestAttributionJSONRoundTrip(t *testing.T) {
 	in := []KernelAttr{{Scope: "core.count", Kernel: "gallop", Buckets: []AttrBucket{
 		{MinDegLen: 2, Count: 7},

@@ -1,19 +1,16 @@
 package metrics
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 )
 
 // Manifest records the build and environment a run executed under: the
 // main module's version and VCS revision (from runtime/debug build info),
 // the Go toolchain, the host shape, and the resolved run configuration.
-// Embedded into Snapshot and every benchfmt report it makes measurement
-// files self-describing: a BENCH_*.json can always answer "which binary,
-// on which machine, with which flags produced these numbers", and two
-// reports can be checked for comparability before they are diffed.
+// Embedded into Snapshot and served as cncount_build_info on /metrics, it
+// makes a metrics snapshot self-describing: it can always answer "which
+// binary, on which machine, with which flags produced these numbers".
 type Manifest struct {
 	// Module is the main module path; Version its module version
 	// ("(devel)" for a source build).
@@ -65,33 +62,4 @@ func NewManifest(config map[string]string) Manifest {
 		}
 	}
 	return m
-}
-
-// Diverges lists the environment fields on which two manifests disagree,
-// formatted "field: this vs other". Comparable manifests return nil. Only
-// fields that make measurements incomparable are checked (revision,
-// toolchain, platform, parallelism) — Config and timestamps may differ
-// between perfectly comparable runs.
-func (m *Manifest) Diverges(other *Manifest) []string {
-	if m == nil || other == nil {
-		return nil
-	}
-	var out []string
-	diff := func(field, a, b string) {
-		if a != b {
-			out = append(out, fmt.Sprintf("%s: %q vs %q", field, a, b))
-		}
-	}
-	diff("vcs_revision", m.VCSRevision, other.VCSRevision)
-	diff("go_version", m.GoVersion, other.GoVersion)
-	diff("goos", m.GOOS, other.GOOS)
-	diff("goarch", m.GOARCH, other.GOARCH)
-	if m.GOMAXPROCS != other.GOMAXPROCS {
-		out = append(out, fmt.Sprintf("gomaxprocs: %d vs %d", m.GOMAXPROCS, other.GOMAXPROCS))
-	}
-	if m.NumCPU != other.NumCPU {
-		out = append(out, fmt.Sprintf("num_cpu: %d vs %d", m.NumCPU, other.NumCPU))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -44,39 +43,6 @@ func TestNewManifestPopulates(t *testing.T) {
 	}
 	if m.Config["algo"] != "bmp" {
 		t.Errorf("Config = %v, want algo=bmp", m.Config)
-	}
-}
-
-// TestManifestDiverges covers the comparability check: identical
-// manifests agree, environment fields disagree, config differences are
-// deliberately ignored, and nil receivers are safe.
-func TestManifestDiverges(t *testing.T) {
-	a := NewManifest(map[string]string{"k": "1"})
-	b := a
-	b.Config = map[string]string{"k": "2"} // config must NOT diverge
-	if d := a.Diverges(&b); d != nil {
-		t.Errorf("identical environments diverge: %v", d)
-	}
-
-	b.VCSRevision = "deadbeef"
-	b.GOMAXPROCS = a.GOMAXPROCS + 1
-	d := a.Diverges(&b)
-	if len(d) != 2 {
-		t.Fatalf("diverges = %v, want 2 entries", d)
-	}
-	joined := strings.Join(d, "\n")
-	for _, want := range []string{"vcs_revision", "gomaxprocs"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("divergence on %s not reported in %q", want, joined)
-		}
-	}
-
-	var nilM *Manifest
-	if d := nilM.Diverges(&a); d != nil {
-		t.Errorf("nil receiver diverges: %v", d)
-	}
-	if d := a.Diverges(nil); d != nil {
-		t.Errorf("nil argument diverges: %v", d)
 	}
 }
 

@@ -15,7 +15,6 @@ package reqctx
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 )
 
@@ -78,27 +77,6 @@ func (tc TraceContext) Child() TraceContext {
 // traceparent.
 func New() TraceContext {
 	return TraceContext{TraceID: randHex(16), SpanID: randHex(8), Flags: "01"}
-}
-
-// NewFrom mints a deterministic trace context from a caller-supplied
-// 64-bit random source — the load generator's seeded-PRNG path, and the
-// tests'. The zero-ID rejection rule is honored by re-drawing.
-func NewFrom(next func() uint64) TraceContext {
-	draw := func(n int) string {
-		for {
-			b := make([]byte, n)
-			for i := 0; i < n; i += 8 {
-				var w [8]byte
-				binary.LittleEndian.PutUint64(w[:], next())
-				copy(b[i:], w[:])
-			}
-			s := hex.EncodeToString(b)
-			if !allZeroHex(s) {
-				return s
-			}
-		}
-	}
-	return TraceContext{TraceID: draw(16), SpanID: draw(8), Flags: "01"}
 }
 
 // ParseTraceparent parses an inbound traceparent header value. It

@@ -1,7 +1,6 @@
 package reqctx
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -94,17 +93,6 @@ func TestNewAndChild(t *testing.T) {
 	fresh := TraceContext{}.Child()
 	if !fresh.Valid() {
 		t.Error("zero Child() not Valid")
-	}
-}
-
-func TestNewFromDeterministic(t *testing.T) {
-	a := NewFrom(rand.New(rand.NewSource(7)).Uint64)
-	b := NewFrom(rand.New(rand.NewSource(7)).Uint64)
-	if a != b {
-		t.Errorf("NewFrom with equal seeds differs: %+v vs %+v", a, b)
-	}
-	if _, ok := ParseTraceparent(a.String()); !ok {
-		t.Errorf("NewFrom context %q does not re-parse", a.String())
 	}
 }
 

@@ -455,7 +455,7 @@ func TestInfoEndpoint(t *testing.T) {
 }
 
 // TestParseAlgo pins the accepted spellings of the one algorithm-name
-// parser that /v1/count, cnc -algo and benchrun -algos share.
+// parser that /v1/count, cnc -algo and the benchmark's workloads share.
 func TestParseAlgo(t *testing.T) {
 	for name, want := range map[string]cncount.Algorithm{
 		"m": cncount.AlgoM, "merge": cncount.AlgoM,

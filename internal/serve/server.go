@@ -658,9 +658,10 @@ func marshalBody(v any) ([]byte, error) {
 }
 
 // ParseAlgo maps an algorithm name to the Algorithm constant: the one
-// parser behind /v1/count's algo parameter and the -algo/-algos flags of
-// cnc and benchrun. "adaptive" and "adapt" name BMP, which absorbed the
-// per-edge dispatcher, so callers that still ask for it keep working.
+// parser behind /v1/count's algo parameter, cnc's -algo flag and the
+// benchmark's workload specs. "adaptive" and "adapt" name BMP, which
+// absorbed the per-edge dispatcher, so callers that still ask for it keep
+// working.
 func ParseAlgo(s string) (cncount.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "m", "merge":
