@@ -2,10 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race check benchmodule fuzz microbench experiments examples clean
+.PHONY: all build vet fmt test race check benchmodule cross fuzz microbench experiments examples clean
 
 # The default verify path is `make check`: build + vet + gofmt + tests +
-# the race detector on the small-graph packages + the bench/ module. Every
+# the race detector on the small-graph packages + the bench/ module +
+# the cross-architecture build of the kernels' Go fallbacks. Every
 # end-to-end flow (serving, request tracing, WAL crash recovery, chaos)
 # is a Go test, so `go test ./...` alone runs them all.
 all: check
@@ -35,7 +36,14 @@ race:
 benchmodule:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build fmt test race benchmodule
+# Other architectures build the Go fallback of every assembly kernel:
+# arm64 vets it, tests included; 386 also checks 32-bit int overflow.
+# 386 is build-only because the internal/graph tests use 2^32 constants.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+
+check: build fmt test race benchmodule cross
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

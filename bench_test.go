@@ -24,6 +24,7 @@ import (
 	"cncount/internal/gpusim"
 	"cncount/internal/intersect"
 	"cncount/internal/sched"
+	"cncount/internal/simd"
 )
 
 var (
@@ -221,12 +222,27 @@ func BenchmarkFig3DegreeSkew(b *testing.B) {
 
 // --- Figure 4: vectorization --------------------------------------------
 
-// BenchmarkFig4Vectorization sweeps the modeled VB lane width of
-// single-threaded MPS. No run executes SIMD: the lane width sets how the
-// work count tallies balanced pairs, and the CPU model charges it.
+// BenchmarkFig4Vectorization measures Figure 4 two ways on
+// single-threaded MPS. The modeled columns sweep VB's lane width: it sets
+// how the work count tallies balanced pairs, and the CPU model charges it
+// (modeled-ms). The executed columns run the balanced pairs through the
+// scalar merge and through the 8-lane AVX2 VB, the kernel AVX-512 hosts
+// run too; the avx2 column is skipped on a host without AVX2.
 func BenchmarkFig4Vectorization(b *testing.B) {
+	hostAVX2 := simd.AVX2
 	for _, name := range []string{"TW", "FR"} {
 		g := benchGraph(b, name)
+		for _, col := range []string{"scalar", "avx2"} {
+			b.Run(fmt.Sprintf("%s/executed=%s", name, col), func(b *testing.B) {
+				vb := col == "avx2"
+				if vb && !hostAVX2 {
+					b.Skip("the host lacks AVX2, which the executed VB needs")
+				}
+				simd.AVX2 = vb
+				defer func() { simd.AVX2 = hostAVX2 }()
+				countBench(b, g, cncount.Options{Algorithm: cncount.AlgoMPS, Threads: 1})
+			})
+		}
 		for _, lanes := range []int{1, 4, 8, 16, 32} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", name, lanes), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

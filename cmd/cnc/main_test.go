@@ -99,6 +99,8 @@ func TestRunMetricsSnapshotToStdout(t *testing.T) {
 	}
 	if snap.Manifest == nil || snap.Manifest.Config["reorder"] != "false" {
 		t.Errorf("BMP run's manifest does not record reorder=false: %+v", snap.Manifest)
+	} else if snap.Manifest.SIMD == "" {
+		t.Error("manifest does not record which kernels ran (simd)")
 	}
 	if snap.Counters["core.edges_scanned"] == 0 {
 		t.Error("edges_scanned counter missing or zero")

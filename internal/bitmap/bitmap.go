@@ -5,6 +5,8 @@
 // to fit in cache or GPU shared memory.
 package bitmap
 
+import "cncount/internal/simd"
+
 const (
 	wordBits = 64
 	wordLog  = 6
@@ -51,6 +53,7 @@ func (b *Bitmap) Test(v uint32) bool {
 // CountSet returns how many vertices of vs have their bit set. The word
 // slice is held in a local and each probe adds its bit, so the loop does
 // not reload the slice header from b and has no data-dependent branch.
+// It inlines into its callers; CountSetVector holds the AVX-512 path.
 func (b *Bitmap) CountSet(vs []uint32) uint32 {
 	words := b.words
 	var c uint32
@@ -58,6 +61,20 @@ func (b *Bitmap) CountSet(vs []uint32) uint32 {
 		c += uint32(words[v>>wordLog] >> (v & (wordBits - 1)) & 1)
 	}
 	return c
+}
+
+// CountSetVector is CountSet with the AVX-512 probe where the host has
+// it: whole blocks of 16 IDs go through countSet16 and the last
+// len(vs) % 16 through CountSet. A block holding an ID past the capacity
+// hands the whole list to CountSet, which panics on it. Without AVX-512
+// it is CountSet behind a call.
+func (b *Bitmap) CountSetVector(vs []uint32) uint32 {
+	if n := len(vs) &^ 15; n > 0 && simd.AVX512 {
+		if c, ok := countSet16(b.words, vs[:n]); ok {
+			return c + b.CountSet(vs[n:])
+		}
+	}
+	return b.CountSet(vs)
 }
 
 // SetList sets the bit of every vertex in vs (bitmap construction for N(u)).

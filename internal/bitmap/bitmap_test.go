@@ -1,9 +1,14 @@
 package bitmap
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"cncount/internal/simd"
 )
 
 func TestBitmapSetTestClear(t *testing.T) {
@@ -225,5 +230,89 @@ func TestRangeFilteredScaleAndMemory(t *testing.T) {
 	}
 	if rf.MemoryBytes() <= rf.Under.MemoryBytes() {
 		t.Error("MemoryBytes must include filter and counters")
+	}
+}
+
+// withProbe runs f with the AVX-512 probe forced on or off, restoring the
+// host's setting afterwards.
+func withProbe(on bool, f func()) {
+	defer func(host bool) { simd.AVX512 = host }(simd.AVX512)
+	simd.AVX512 = on
+	f()
+}
+
+// TestCountSetVectorMatchesScalar compares CountSetVector, with the
+// AVX-512 probe on and off, against CountSet over lists of every length
+// from 0 to 100: whole 16-ID blocks, tails, and lists shorter than a block. IDs cluster at the 32-bit word
+// edges 31, 32, 63 and 64 and at n-1, where a gather of the wrong half of
+// a 64-bit word would show.
+func TestCountSetVectorMatchesScalar(t *testing.T) {
+	if !simd.AVX512 {
+		t.Skip("the host lacks AVX-512 F, so CountSet has no vector path to compare")
+	}
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 1000; trial++ {
+		n := uint32(65 + rng.Intn(3000))
+		b := New(n)
+		edges := []uint32{0, 31, 32, 63, 64, n - 1}
+		for _, v := range edges {
+			if rng.Intn(2) == 0 {
+				b.Set(v)
+			}
+		}
+		for k := rng.Intn(int(n)); k > 0; k-- {
+			b.Set(uint32(rng.Intn(int(n))))
+		}
+		vs := make([]uint32, trial%101)
+		var want uint32
+		for i := range vs {
+			if rng.Intn(3) == 0 {
+				vs[i] = edges[rng.Intn(len(edges))]
+			} else {
+				vs[i] = uint32(rng.Intn(int(n)))
+			}
+			if b.Test(vs[i]) {
+				want++
+			}
+		}
+		var vector, off uint32
+		withProbe(true, func() { vector = b.CountSetVector(vs) })
+		withProbe(false, func() { off = b.CountSetVector(vs) })
+		if scalar := b.CountSet(vs); vector != want || off != want || scalar != want {
+			t.Fatalf("n=%d, %d IDs: vector %d, probe off %d, scalar %d, want %d", n, len(vs), vector, off, scalar, want)
+		}
+	}
+}
+
+// TestCountSetPanicsPastCapacity probes an ID at the capacity (64 bits per
+// word) and one far past it, once inside a full 16-ID block and once in
+// the tail. Both paths must panic with the scalar loop's index error, and
+// the vector path must not read outside the words first.
+func TestCountSetPanicsPastCapacity(t *testing.T) {
+	const n = 640 // 10 words, so the capacity is exactly n
+	b := New(n)
+	b.SetList([]uint32{0, 31, 32, 63, 64, n - 1})
+	for _, bad := range []uint32{n, math.MaxUint32} {
+		for _, at := range []int{5, 16} { // in the first block, in the tail
+			vs := make([]uint32, 18)
+			for i := range vs {
+				vs[i] = uint32(i * 35)
+			}
+			vs[at] = bad
+			for _, on := range []bool{true, false} {
+				if on && !simd.AVX512 {
+					continue
+				}
+				var got any
+				withProbe(on, func() {
+					defer func() { got = recover() }()
+					b.CountSetVector(vs)
+				})
+				err, ok := got.(runtime.Error)
+				if !ok || !strings.Contains(err.Error(), "index out of range") {
+					t.Errorf("ID %d at %d, vector=%v: recovered %v, want an index out of range panic", bad, at, on, got)
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
 	"cncount/internal/sched"
+	"cncount/internal/simd"
 	"cncount/internal/stats"
 )
 
@@ -335,12 +336,16 @@ func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCt
 		}
 		// Consecutive edges mostly share their source, so the warm-source
 		// test runs inline and the refresh call is paid only when the
-		// source changes.
+		// source changes. The scalar probe inlines here too: testing the
+		// flag first spares hosts without AVX-512 a call per edge.
 		return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
 			if ctx.pu != int64(u) {
 				refreshBitmap(g, ctx, u, false)
 			}
-			return intersect.Bitmap(ctx.bm, nv)
+			if simd.AVX512 {
+				return intersect.Bitmap(ctx.bm, nv)
+			}
+			return ctx.bm.CountSet(nv)
 		}
 
 	case AlgoBMPRF:
@@ -413,12 +418,5 @@ func refreshRF(g *graph.CSR, ctx *workerCtx, u uint32, collect bool) {
 	ctx.pu = int64(u)
 }
 
-// log2 returns ⌈log2(d)⌉ for d ≥ 1, the binary search step count.
-func log2(d int64) uint64 {
-	var s uint64
-	for d > 1 {
-		d >>= 1
-		s++
-	}
-	return s
-}
+// log2 returns ⌊log2(d)⌋ for d ≥ 1, the binary search step count.
+func log2(d int64) uint64 { return uint64(bits.Len64(uint64(d)) - 1) }

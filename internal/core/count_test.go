@@ -9,6 +9,7 @@ import (
 	"cncount/internal/bitmap"
 	"cncount/internal/gen"
 	"cncount/internal/graph"
+	"cncount/internal/simd"
 	"cncount/internal/verify"
 )
 
@@ -463,6 +464,46 @@ func TestCountSymmetryUnderStealing(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLog2IsFloor pins log2 to ⌊log2 d⌋, the binary search step count
+// the work model has always charged: a shift loop is the reference.
+func TestLog2IsFloor(t *testing.T) {
+	floor := func(d int64) uint64 {
+		var s uint64
+		for ; d > 1; d >>= 1 {
+			s++
+		}
+		return s
+	}
+	for _, d := range []int64{1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 1 << 40, math.MaxInt64} {
+		if got, want := log2(d), floor(d); got != want {
+			t.Errorf("log2(%d) = %d, want %d", d, got, want)
+		}
+	}
+}
+
+// TestCountBMPProbePaths runs BMP's edge loop down both branches of its
+// probe test, the AVX-512 call where the host has it and the inlined
+// scalar loop, against the reference. The graph's average degree is 50,
+// so most probed lists hold whole 16-ID blocks and a tail.
+func TestCountBMPProbePaths(t *testing.T) {
+	g := randomGraph(t, 7, 120, 3000)
+	paths := []bool{false}
+	if simd.AVX512 {
+		paths = append(paths, true)
+	}
+	defer func(host bool) { simd.AVX512 = host }(simd.AVX512)
+	for _, on := range paths {
+		simd.AVX512 = on
+		res, err := Count(g, Options{Algorithm: AlgoBMP, Threads: 2})
+		if err != nil {
+			t.Fatalf("AVX512=%v: %v", on, err)
+		}
+		if err := verify.CheckCounts(g, res.Counts); err != nil {
+			t.Fatalf("AVX512=%v: %v", on, err)
 		}
 	}
 }

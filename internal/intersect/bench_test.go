@@ -16,7 +16,8 @@ func benchPair(sizeA, sizeB, universe int) ([]uint32, []uint32) {
 
 // BenchmarkKernelsBalanced compares every intersection kernel on
 // similar-cardinality sets — the regime where the merge should win and
-// pivot-skip should not.
+// pivot-skip should not. Bitmap and the executed VB run once per path the
+// host has (VB/scalar is the Merge it falls back to).
 func BenchmarkKernelsBalanced(b *testing.B) {
 	const universe = 1 << 20
 	a, c := benchPair(1024, 1024, universe)
@@ -35,11 +36,20 @@ func BenchmarkKernelsBalanced(b *testing.B) {
 			PivotSkip(a, c)
 		}
 	})
-	b.Run("Bitmap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Bitmap(bm, c)
-		}
-	})
+	for _, path := range simdPaths() {
+		b.Run("Bitmap/"+path, func(b *testing.B) {
+			defer usePath(path)()
+			for i := 0; i < b.N; i++ {
+				Bitmap(bm, c)
+			}
+		})
+		b.Run("VB/"+path, func(b *testing.B) {
+			defer usePath(path)()
+			for i := 0; i < b.N; i++ {
+				blockMerge(a, c)
+			}
+		})
+	}
 	b.Run("BitmapRF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BitmapRF(rf, c)

@@ -6,9 +6,10 @@ import (
 )
 
 // Bitmap counts |N(u) ∩ A| where b is the bitmap index of N(u): loop over
-// every w ∈ A and count the set bits (Algorithm 2, IntersectBMP).
+// every w ∈ A and count the set bits (Algorithm 2, IntersectBMP), 16 IDs
+// per step where the host has AVX-512 (bitmap.CountSetVector).
 func Bitmap(b *bitmap.Bitmap, a []uint32) uint32 {
-	return b.CountSet(a)
+	return b.CountSetVector(a)
 }
 
 // BitmapStats is Bitmap with work accounting. Every probe of the

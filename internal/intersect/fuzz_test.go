@@ -23,8 +23,20 @@ func decodeSet(data []byte) []uint32 {
 	return out
 }
 
+// encodeRange is decodeSet's inverse for the IDs from, from+step, ...,
+// n of them: a fuzz seed long enough to span several vector blocks.
+func encodeRange(n, step int, from uint16) []byte {
+	out := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		v := from + uint16(i*step)
+		out = append(out, byte(v>>8), byte(v))
+	}
+	return out
+}
+
 // FuzzKernelsAgree feeds arbitrary byte pairs to every intersection kernel
-// and requires unanimous counts.
+// and requires unanimous counts. The kernels with vector forms, MPS, the
+// executed VB and Bitmap, run on each path the host has.
 func FuzzKernelsAgree(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2}, []byte{0, 2, 0, 3})
 	f.Add([]byte{}, []byte{1, 1})
@@ -37,6 +49,10 @@ func FuzzKernelsAgree(f *testing.F) {
 	f.Add([]byte{0, 7}, []byte{0, 7})
 	f.Add([]byte{0, 1, 0, 2, 0, 3}, []byte{0, 9, 0, 10, 0, 11})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4}, []byte{0, 1, 0, 2, 0, 3, 0, 4})
+	// Longer than a 16-ID probe block and several 8-lane VB blocks, with
+	// tails: the shapes the vector kernels take.
+	f.Add(encodeRange(40, 1, 0), encodeRange(37, 2, 1))
+	f.Add(encodeRange(33, 3, 500), encodeRange(70, 1, 480))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a := decodeSet(rawA)
 		b := decodeSet(rawB)
@@ -53,16 +69,18 @@ func FuzzKernelsAgree(f *testing.F) {
 		if got := PivotSkip(a, b); got != want {
 			t.Fatalf("PivotSkip = %d, want %d", got, want)
 		}
-		if got := MPS(a, b, 3); got != want {
-			t.Fatalf("MPS = %d, want %d", got, want)
-		}
 		if got := MPSStats(a, b, 3, 8, &w); got != want {
 			t.Fatalf("MPSStats = %d, want %d", got, want)
 		}
 		bm := bitmap.New(1 << 16)
 		bm.SetList(a)
-		if got := Bitmap(bm, b); got != want {
-			t.Fatalf("Bitmap = %d, want %d", got, want)
+		for _, path := range simdPaths() {
+			restore := usePath(path)
+			mps, vb, probe := MPS(a, b, 3), blockMerge(a, b), Bitmap(bm, b)
+			restore()
+			if mps != want || vb != want || probe != want {
+				t.Fatalf("%s path: MPS = %d, blockMerge = %d, Bitmap = %d, want %d", path, mps, vb, probe, want)
+			}
 		}
 		rf := bitmap.NewRangeFiltered(1<<16, 64)
 		rf.SetList(a)

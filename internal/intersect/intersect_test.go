@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"cncount/internal/bitmap"
+	"cncount/internal/simd"
 	"cncount/internal/stats"
 )
 
@@ -60,6 +61,46 @@ func TestMergeBasic(t *testing.T) {
 	}
 }
 
+// simdPaths names the kernel paths the host can run: "vector", the
+// flags init detected, where the host has AVX-512 or AVX2, and always
+// "scalar", every flag cleared. Each flag gates one kernel, the Bitmap
+// probe or VB, so these two paths run each kernel both ways.
+func simdPaths() []string {
+	if hostAVX512 || hostAVX2 {
+		return []string{"vector", "scalar"}
+	}
+	return []string{"scalar"}
+}
+
+// The host's detected sets, saved before any test flips the flags.
+var hostAVX512, hostAVX2 = simd.AVX512, simd.AVX2
+
+// usePath sets the simd flags so the kernels take the named path, and
+// returns the function that restores the host's own flags.
+func usePath(path string) (restore func()) {
+	if path == "scalar" {
+		simd.AVX512, simd.AVX2 = false, false
+	}
+	return func() { simd.AVX512, simd.AVX2 = hostAVX512, hostAVX2 }
+}
+
+// vectorKernels are the kernels of kernels() whose execution depends on
+// the simd flags; the oracle tests run them on every path in simdPaths.
+var vectorKernels = map[string]bool{"MPS": true, "MPS-tightSkew": true, "BlockMerge": true, "Bitmap": true}
+
+// bitmapKernel probes b against a bitmap index of a, sized to hold both.
+func bitmapKernel(a, b []uint32) uint32 {
+	var n uint32 = 1
+	for _, s := range [][]uint32{a, b} {
+		if len(s) > 0 && s[len(s)-1] >= n {
+			n = s[len(s)-1] + 1
+		}
+	}
+	bm := bitmap.New(n)
+	bm.SetList(a)
+	return Bitmap(bm, b)
+}
+
 // kernels under test, all of which must agree with the oracle.
 func kernels() map[string]func(a, b []uint32) uint32 {
 	return map[string]func(a, b []uint32) uint32{
@@ -67,6 +108,8 @@ func kernels() map[string]func(a, b []uint32) uint32 {
 		"PivotSkip":      PivotSkip,
 		"MPS":            func(a, b []uint32) uint32 { return MPS(a, b, DefaultSkewThreshold) },
 		"MPS-tightSkew":  func(a, b []uint32) uint32 { return MPS(a, b, 1.5) },
+		"BlockMerge":     blockMerge,
+		"Bitmap":         bitmapKernel,
 		"MergeStats":     func(a, b []uint32) uint32 { var w stats.Work; return MergeStats(a, b, &w) },
 		"BlockStats4":    func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, 4, &w) },
 		"BlockStats8":    func(a, b []uint32) uint32 { var w stats.Work; return BlockMergeStats(a, b, 8, &w) },
@@ -80,10 +123,14 @@ func kernels() map[string]func(a, b []uint32) uint32 {
 	}
 }
 
+// TestKernelsAgainstOracleProperty checks every kernel against the oracle
+// on random pairs of up to 80 elements, so most pairs span several
+// 16-ID probe blocks and 8-lane VB blocks plus a tail. Kernels with vector
+// forms run on each path the host has.
 func TestKernelsAgainstOracleProperty(t *testing.T) {
 	for name, kernel := range kernels() {
 		kernel := kernel
-		t.Run(name, func(t *testing.T) {
+		check := func(t *testing.T) {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				a := sortedSet(rng, 80, 120)
@@ -92,6 +139,55 @@ func TestKernelsAgainstOracleProperty(t *testing.T) {
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 				t.Error(err)
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			if !vectorKernels[name] {
+				check(t)
+				return
+			}
+			for _, path := range simdPaths() {
+				t.Run(path, func(t *testing.T) {
+					defer usePath(path)()
+					check(t)
+				})
+			}
+		})
+	}
+}
+
+// TestBlockMergeBlockBoundaries pins the executed VB at the lengths where
+// a block schedule goes wrong: one short of a block, exactly one, one
+// past, and matches in the first and last lane of a block, on each path.
+func TestBlockMergeBlockBoundaries(t *testing.T) {
+	seq := func(n, step int, from uint32) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = from + uint32(i*step)
+		}
+		return out
+	}
+	var pairs [][2][]uint32
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 100} {
+		pairs = append(pairs,
+			[2][]uint32{seq(n, 1, 0), seq(n, 1, 0)},           // identical
+			[2][]uint32{seq(n, 2, 0), seq(n, 2, 1)},           // interleaved, disjoint
+			[2][]uint32{seq(n, 1, 0), seq(n, 1, uint32(n-1))}, // only the last of a meets the first of b
+			[2][]uint32{seq(n, 3, 0), seq(2*n, 1, 0)},         // every third of b
+			[2][]uint32{seq(n, 1, 1<<31), seq(n, 1, 1<<31)},   // IDs past the int32 range
+		)
+	}
+	for _, path := range simdPaths() {
+		t.Run(path, func(t *testing.T) {
+			defer usePath(path)()
+			for _, p := range pairs {
+				want := refIntersect(p[0], p[1])
+				if got := blockMerge(p[0], p[1]); got != want {
+					t.Errorf("blockMerge(len %d, len %d) = %d, want %d", len(p[0]), len(p[1]), got, want)
+				}
+				if got := blockMerge(p[1], p[0]); got != want {
+					t.Errorf("blockMerge(len %d, len %d) swapped = %d, want %d", len(p[1]), len(p[0]), got, want)
+				}
 			}
 		})
 	}

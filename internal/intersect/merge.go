@@ -8,14 +8,15 @@
 //     on a lower bound that chains a linear-search window, galloping
 //     (exponential) skips, and a final binary search.
 //   - MPS: the combined algorithm that picks PS for degree-skewed pairs and
-//     Merge otherwise, controlled by the skew threshold t.
+//     the vectorized block-wise merge VB otherwise, controlled by the skew
+//     threshold t.
 //   - Bitmap/BitmapRF: the indexed nested-loop probes of BMP
 //     (Algorithm 2, IntersectBMP), optionally through the range filter.
 //
-// The vectorized block-wise merge VB has only the instrumented form,
-// BlockMergeStats, which MPSStats uses for balanced pairs: it counts VB's
-// all-pair blocks at a given lane width for the processor models, while
-// executed MPS merges (see BlockMergeStats for why).
+// On amd64, VB runs AVX2 assembly and the Bitmap probe AVX-512 assembly,
+// chosen once at init by internal/simd; other hosts run the scalar loops. Merge stays scalar: it is the paper's baseline. The
+// Stats twins are scalar everywhere; BlockMergeStats tallies VB's blocks
+// at a given lane width for the processor models, whatever the host runs.
 //
 // All kernels operate on ascending-sorted uint32 slices and return the
 // match count |A ∩ B|.

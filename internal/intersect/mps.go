@@ -21,14 +21,12 @@ func Skewed(la, lb int, t float64) bool {
 
 // MPS counts |a ∩ b| with the paper's combined merge (Algorithm 1 lines
 // 2-4): PivotSkip when the cardinalities are skewed beyond threshold t,
-// Merge otherwise. The paper merges balanced pairs with the SIMD block
-// merge VB; its work is modeled through MPSStats, and the scalar merge is
-// the faster way to execute the same count.
+// the block-wise merge VB otherwise.
 func MPS(a, b []uint32, t float64) uint32 {
 	if Skewed(len(a), len(b), t) {
 		return PivotSkip(a, b)
 	}
-	return Merge(a, b)
+	return blockMerge(a, b)
 }
 
 // MPSStats is MPS with work accounting. Balanced pairs are counted under

@@ -3,6 +3,8 @@ package metrics
 import (
 	"runtime"
 	"runtime/debug"
+
+	"cncount/internal/simd"
 )
 
 // Manifest records the build and environment a run executed under: the
@@ -30,6 +32,10 @@ type Manifest struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
+	// SIMD names the widest instruction set the intersection kernels
+	// run: "avx512", "avx2" or "scalar" (internal/simd.Level), so count
+	// times from hosts with different vector units are told apart.
+	SIMD string `json:"simd"`
 	// Config is the resolved run configuration (flag values after
 	// defaulting), as the producing command chose to record it.
 	Config map[string]string `json:"config,omitempty"`
@@ -45,6 +51,7 @@ func NewManifest(config map[string]string) Manifest {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		SIMD:       simd.Level(),
 		Config:     config,
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {

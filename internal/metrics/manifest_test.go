@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"cncount/internal/simd"
 )
 
 // TestPaddedTallyAlignment pins the false-sharing guarantee the sched
@@ -43,6 +45,29 @@ func TestNewManifestPopulates(t *testing.T) {
 	}
 	if m.Config["algo"] != "bmp" {
 		t.Errorf("Config = %v, want algo=bmp", m.Config)
+	}
+	if m.SIMD != simd.Level() {
+		t.Errorf("SIMD = %q, want the kernels' level %q", m.SIMD, simd.Level())
+	}
+}
+
+// TestManifestSIMDFollowsKernels checks the manifest records the widest
+// path the kernels take, not a fixed property of the build: the flags a
+// host without the instructions would leave clear read "scalar".
+func TestManifestSIMDFollowsKernels(t *testing.T) {
+	defer func(avx512, avx2 bool) { simd.AVX512, simd.AVX2 = avx512, avx2 }(simd.AVX512, simd.AVX2)
+	for _, c := range []struct {
+		avx512, avx2 bool
+		want         string
+	}{
+		{true, true, "avx512"},
+		{false, true, "avx2"},
+		{false, false, "scalar"},
+	} {
+		simd.AVX512, simd.AVX2 = c.avx512, c.avx2
+		if got := NewManifest(nil).SIMD; got != c.want {
+			t.Errorf("SIMD with AVX512=%v AVX2=%v = %q, want %q", c.avx512, c.avx2, got, c.want)
+		}
 	}
 }
 

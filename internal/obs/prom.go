@@ -62,9 +62,9 @@ func writeManifest(b *strings.Builder, m *metrics.Manifest) {
 	}
 	fmt.Fprintf(b, "# HELP cncount_build_info Build and environment manifest; the value is always 1.\n")
 	fmt.Fprintf(b, "# TYPE cncount_build_info gauge\n")
-	fmt.Fprintf(b, "cncount_build_info{go_version=\"%s\",goos=\"%s\",goarch=\"%s\",module=\"%s\",version=\"%s\",vcs_revision=\"%s\"} 1\n",
+	fmt.Fprintf(b, "cncount_build_info{go_version=\"%s\",goos=\"%s\",goarch=\"%s\",module=\"%s\",version=\"%s\",vcs_revision=\"%s\",simd=\"%s\"} 1\n",
 		escapeLabel(m.GoVersion), escapeLabel(m.GOOS), escapeLabel(m.GOARCH),
-		escapeLabel(m.Module), escapeLabel(m.Version), escapeLabel(m.VCSRevision))
+		escapeLabel(m.Module), escapeLabel(m.Version), escapeLabel(m.VCSRevision), escapeLabel(m.SIMD))
 	fmt.Fprintf(b, "# TYPE cncount_gomaxprocs gauge\ncncount_gomaxprocs %d\n", m.GOMAXPROCS)
 	fmt.Fprintf(b, "# TYPE cncount_num_cpu gauge\ncncount_num_cpu %d\n", m.NumCPU)
 	if len(m.Config) > 0 {

@@ -133,6 +133,9 @@ func TestWritePromExposition(t *testing.T) {
 			if !strings.Contains(series, `go_version="go`) {
 				t.Errorf("build info lacks go_version: %s", series)
 			}
+			if want := `simd="` + snap.Manifest.SIMD + `"`; snap.Manifest.SIMD == "" || !strings.Contains(series, want) {
+				t.Errorf("build info lacks %s: %s", want, series)
+			}
 		}
 	}
 	if !foundInfo {

@@ -1,6 +1,9 @@
 package trace
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file turns a tracer's recorded spans into a nested span tree —
 // the per-request view behind the serving layer's /debug/requests
@@ -91,7 +94,7 @@ type SpanNode struct {
 func Tree(recs []SpanRecord) []*SpanNode {
 	var roots []*SpanNode
 	var stack []*SpanNode // open ancestors on the current row
-	curTID := -1 << 62
+	curTID := math.MinInt
 	for _, rec := range recs {
 		if rec.TID != curTID {
 			curTID = rec.TID
