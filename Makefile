@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race check benchmodule cross fuzz microbench experiments examples clean
+.PHONY: all build vet fmt test race check benchmodule cross benchonce fuzz microbench experiments examples clean
 
 # The default verify path is `make check`: build + vet + gofmt + tests +
 # the race detector on the small-graph packages + the bench/ module +
-# the cross-architecture build of the kernels' Go fallbacks. Every
-# end-to-end flow (serving, request tracing, WAL crash recovery, chaos)
-# is a Go test, so `go test ./...` alone runs them all.
+# the cross-architecture build of the kernels' Go fallbacks + one run of
+# the kernel and guard benchmarks. Every end-to-end flow (serving,
+# request tracing, WAL crash recovery, chaos) is a Go test, so
+# `go test ./...` alone runs them all.
 all: check
 
 build:
@@ -43,7 +44,13 @@ cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
 
-check: build fmt test race benchmodule cross
+# `go test` compiles benchmarks but never runs them: run the kernel and
+# core ones once (BenchmarkKernels*, the BenchmarkCount*Guard overhead
+# guards), so one that fails or panics breaks the gate.
+benchonce:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/intersect/ ./internal/core/
+
+check: build fmt test race benchmodule cross benchonce
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

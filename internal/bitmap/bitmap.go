@@ -2,7 +2,9 @@
 // algorithm: a bitmap of cardinality |V| used for constant-time membership
 // checks of a neighbor set, plus the two-level range-filtered variant (the
 // RF optimization) that summarizes the big bitmap with a small filter sized
-// to fit in cache or GPU shared memory.
+// to fit in cache or GPU shared memory. Under AVX-512 one pass over a
+// probed list both counts its set bits and ranks a vertex in it
+// (CountSetVector), 16 IDs per step.
 package bitmap
 
 import "cncount/internal/simd"
@@ -63,18 +65,25 @@ func (b *Bitmap) CountSet(vs []uint32) uint32 {
 	return c
 }
 
-// CountSetVector is CountSet with the AVX-512 probe where the host has
-// it: whole blocks of 16 IDs go through countSet16 and the last
-// len(vs) % 16 through CountSet. A block holding an ID past the capacity
-// hands the whole list to CountSet, which panics on it. Without AVX-512
-// it is CountSet behind a call.
-func (b *Bitmap) CountSetVector(vs []uint32) uint32 {
-	if n := len(vs) &^ 15; n > 0 && simd.AVX512 {
-		if c, ok := countSet16(b.words, vs[:n]); ok {
-			return c + b.CountSet(vs[n:])
+// CountSetVector returns CountSet(vs) and u's rank in vs: how many IDs of
+// vs are below u, which on a sorted list is the index u has or would
+// have. Where the host has AVX-512, one pass of countSetRank computes
+// both, 16 IDs per step and the last len(vs) % 16 in one masked step. A
+// step holding an ID past the capacity hands the whole list to CountSet,
+// which panics on it. Without AVX-512 a Go loop counts the rank and
+// CountSet the bits.
+func (b *Bitmap) CountSetVector(vs []uint32, u uint32) (c uint32, rank int) {
+	if simd.AVX512 {
+		if c, rank, ok := countSetRank(b.words, vs, u); ok {
+			return c, int(rank)
 		}
 	}
-	return b.CountSet(vs)
+	for _, v := range vs {
+		if v < u {
+			rank++
+		}
+	}
+	return b.CountSet(vs), rank
 }
 
 // SetList sets the bit of every vertex in vs (bitmap construction for N(u)).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,15 +242,35 @@ func withProbe(on bool, f func()) {
 	f()
 }
 
+// probePaths lists the settings of the probe the host can run: off, and
+// on where the host has AVX-512 F.
+func probePaths() []bool {
+	if simd.AVX512 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// rankBelow is the reference rank: how many IDs of vs are below u.
+func rankBelow(vs []uint32, u uint32) int {
+	r := 0
+	for _, v := range vs {
+		if v < u {
+			r++
+		}
+	}
+	return r
+}
+
 // TestCountSetVectorMatchesScalar compares CountSetVector, with the
 // AVX-512 probe on and off, against CountSet over lists of every length
-// from 0 to 100: whole 16-ID blocks, tails, and lists shorter than a block. IDs cluster at the 32-bit word
-// edges 31, 32, 63 and 64 and at n-1, where a gather of the wrong half of
-// a 64-bit word would show.
+// from 0 to 100: whole 16-ID blocks, tails, and lists shorter than a
+// block. IDs cluster at the 32-bit word edges 31, 32, 63 and 64 and at
+// n-1, where a gather of the wrong half of a 64-bit word would show. Each
+// list is then sorted and probed again for the rank of u = 0, of an ID in
+// the list, of a value between two IDs, and of values past the largest
+// ID, MaxUint32 among them, where a signed compare would read -1.
 func TestCountSetVectorMatchesScalar(t *testing.T) {
-	if !simd.AVX512 {
-		t.Skip("the host lacks AVX-512 F, so CountSet has no vector path to compare")
-	}
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 1000; trial++ {
 		n := uint32(65 + rng.Intn(3000))
@@ -275,42 +296,106 @@ func TestCountSetVectorMatchesScalar(t *testing.T) {
 				want++
 			}
 		}
-		var vector, off uint32
-		withProbe(true, func() { vector = b.CountSetVector(vs) })
-		withProbe(false, func() { off = b.CountSetVector(vs) })
-		if scalar := b.CountSet(vs); vector != want || off != want || scalar != want {
-			t.Fatalf("n=%d, %d IDs: vector %d, probe off %d, scalar %d, want %d", n, len(vs), vector, off, scalar, want)
+		if scalar := b.CountSet(vs); scalar != want {
+			t.Fatalf("n=%d, %d IDs: scalar %d, want %d", n, len(vs), scalar, want)
+		}
+		for _, on := range probePaths() {
+			var got uint32
+			withProbe(on, func() { got, _ = b.CountSetVector(vs, 0) })
+			if got != want {
+				t.Fatalf("n=%d, %d IDs, probe on=%v: %d, want %d", n, len(vs), on, got, want)
+			}
+		}
+
+		slices.Sort(vs)
+		us := []uint32{0, n, math.MaxUint32}
+		if len(vs) > 0 {
+			us = append(us, vs[rng.Intn(len(vs))], vs[len(vs)-1]+1)
+			for i := rng.Intn(len(vs)); i+1 < len(vs); i++ {
+				if vs[i]+1 < vs[i+1] {
+					us = append(us, vs[i]+1+uint32(rng.Intn(int(vs[i+1]-vs[i]-1))))
+					break
+				}
+			}
+		}
+		for _, u := range us {
+			wantRank := rankBelow(vs, u)
+			for _, on := range probePaths() {
+				var got uint32
+				var rank int
+				withProbe(on, func() { got, rank = b.CountSetVector(vs, u) })
+				if got != want || rank != wantRank {
+					t.Fatalf("n=%d, %d sorted IDs, u=%d, probe on=%v: count %d rank %d, want %d and %d",
+						n, len(vs), u, on, got, rank, want, wantRank)
+				}
+			}
+		}
+	}
+}
+
+// TestCountSetVectorMasksTail probes vs := buf[:k] for every k that ends
+// inside a 16-ID step. buf holds the even IDs 0, 2, ... in vs, every third
+// of them set, and set odd IDs past k, so a step that loads, tests or
+// ranks a lane past len(vs) counts more than the reference does.
+func TestCountSetVectorMasksTail(t *testing.T) {
+	const size = 48
+	b := New(2 * size)
+	for _, on := range probePaths() {
+		for k := 1; k < 32; k++ {
+			if k == 16 {
+				continue
+			}
+			buf := make([]uint32, size)
+			b.Reset()
+			for i := range buf {
+				if i < k {
+					buf[i] = uint32(2 * i)
+					if i%3 == 0 {
+						b.Set(buf[i])
+					}
+				} else {
+					buf[i] = uint32(2*i + 1)
+					b.Set(buf[i])
+				}
+			}
+			vs := buf[:k]
+			for _, u := range []uint32{uint32(k), math.MaxUint32} {
+				var c uint32
+				var rank int
+				withProbe(on, func() { c, rank = b.CountSetVector(vs, u) })
+				if want, wantRank := b.CountSet(vs), rankBelow(vs, u); c != want || rank != wantRank {
+					t.Errorf("k=%d, u=%d, probe on=%v: count %d rank %d, want %d and %d", k, u, on, c, rank, want, wantRank)
+				}
+			}
 		}
 	}
 }
 
 // TestCountSetPanicsPastCapacity probes an ID at the capacity (64 bits per
-// word) and one far past it, once inside a full 16-ID block and once in
-// the tail. Both paths must panic with the scalar loop's index error, and
-// the vector path must not read outside the words first.
+// word) and one far past it: inside a full 16-ID block, in the tail after
+// a block, and in lists of 5 and 21 IDs, where it sits only in the masked
+// step. Both paths must panic with the scalar loop's index error, and the
+// vector path must not read outside the words first.
 func TestCountSetPanicsPastCapacity(t *testing.T) {
 	const n = 640 // 10 words, so the capacity is exactly n
 	b := New(n)
 	b.SetList([]uint32{0, 31, 32, 63, 64, n - 1})
 	for _, bad := range []uint32{n, math.MaxUint32} {
-		for _, at := range []int{5, 16} { // in the first block, in the tail
-			vs := make([]uint32, 18)
+		for _, c := range []struct{ size, at int }{{18, 5}, {18, 16}, {5, 3}, {21, 18}} {
+			vs := make([]uint32, c.size)
 			for i := range vs {
 				vs[i] = uint32(i * 35)
 			}
-			vs[at] = bad
-			for _, on := range []bool{true, false} {
-				if on && !simd.AVX512 {
-					continue
-				}
+			vs[c.at] = bad
+			for _, on := range probePaths() {
 				var got any
 				withProbe(on, func() {
 					defer func() { got = recover() }()
-					b.CountSetVector(vs)
+					b.CountSetVector(vs, 1)
 				})
 				err, ok := got.(runtime.Error)
 				if !ok || !strings.Contains(err.Error(), "index out of range") {
-					t.Errorf("ID %d at %d, vector=%v: recovered %v, want an index out of range panic", bad, at, on, got)
+					t.Errorf("ID %d at %d of %d, vector=%v: recovered %v, want an index out of range panic", bad, c.at, c.size, on, got)
 				}
 			}
 		}

@@ -2,6 +2,8 @@
 
 package bitmap
 
-// countSet16 has no vector form on this architecture: it counts nothing
+// countSetRank has no vector form on this architecture: it counts nothing
 // and leaves every probe to the scalar loop.
-func countSet16(words []uint64, vs []uint32) (c uint32, ok bool) { return 0, false }
+func countSetRank(words []uint64, vs []uint32, u uint32) (c, rank uint32, ok bool) {
+	return 0, 0, false
+}

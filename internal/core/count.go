@@ -218,25 +218,41 @@ func indexBytes(o Options, n int64) int64 {
 }
 
 // makeBody builds the per-chunk edge loop of Algorithm 3 for the selected
-// algorithm: recover the source vertex u of each edge offset, compute the
-// count when u's row owns the edge (see owns), and symmetrically assign it
-// to the reverse offset.
+// algorithm. FindSrc runs once per task, for the task's first offset;
+// from there the loop walks the rows, stepping u at each row end past any
+// empty rows, so d_u is read once per row. At a row's first owned edge
+// (see owns) the loop calls the kernel's enter, the bitmap algorithms'
+// warm-source check, so a row that owns no edge indexes nothing. Each
+// owned edge is computed by the kernel's edge, and the count is assigned
+// symmetrically to the reverse offset at u's rank in N(v), once that
+// entry is checked to be u.
 //
 // With Options.Metrics set the loop additionally attributes every kernel
 // call to its min-degree bucket and samples its wall time once per
 // attrSampleEvery bucket hits; the unmetered loop is returned as a
 // separate closure so the disabled path keeps the uninstrumented body.
 func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options) func(int, int64, int64) {
-	kernel := makeKernel(g, contexts, opts)
+	enter, kernel := makeKernel(g, opts)
 	collect := opts.CollectWork
 	if !opts.Metrics.Enabled() {
 		return func(worker int, lo, hi int64) {
 			ctx := &contexts[worker]
+			u := ctx.finder.Find(lo)
+			du, rowEnd := g.Degree(u), g.Off[u+1]
+			cold := enter != nil // u's row has not called enter yet
 			for e := lo; e < hi; e++ {
-				u, v := ctx.finder.Find(e), g.Dst[e]
+				if e == rowEnd {
+					u, du, rowEnd = nextRow(g, u, e)
+					cold = enter != nil
+				}
+				v := g.Dst[e]
 				vLo, vHi := g.Off[v], g.Off[v+1]
-				if !owns(g.Degree(u), vHi-vLo, u, v) {
+				if !owns(du, vHi-vLo, u, v) {
 					continue
+				}
+				if cold {
+					enter(ctx, u)
+					cold = false
 				}
 				nv := g.Dst[vLo:vHi]
 				if collect {
@@ -248,10 +264,10 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 					ctx.work.RandomAccesses++
 					ctx.work.BinarySteps += log2(vHi - vLo)
 				}
-				c := kernel(ctx, u, nv)
+				c, rank := kernel(ctx, u, nv)
 				counts[e] = c
-				if i, ok := slices.BinarySearch(nv, u); ok {
-					counts[vLo+int64(i)] = c
+				if r := vLo + int64(rank); r < vHi && g.Dst[r] == u {
+					counts[r] = c
 				}
 			}
 		}
@@ -261,11 +277,22 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 	return func(worker int, lo, hi int64) {
 		ctx := &contexts[worker]
 		attr := ctx.attr
+		u := ctx.finder.Find(lo)
+		du, rowEnd := g.Degree(u), g.Off[u+1]
+		cold := enter != nil
 		for e := lo; e < hi; e++ {
-			u, v := ctx.finder.Find(e), g.Dst[e]
+			if e == rowEnd {
+				u, du, rowEnd = nextRow(g, u, e)
+				cold = enter != nil
+			}
+			v := g.Dst[e]
 			vLo, vHi := g.Off[v], g.Off[v+1]
-			if !owns(g.Degree(u), vHi-vLo, u, v) {
+			if !owns(du, vHi-vLo, u, v) {
 				continue
+			}
+			if cold {
+				enter(ctx, u)
+				cold = false
 			}
 			nv := g.Dst[vLo:vHi]
 			ctx.kernelCalls++
@@ -277,20 +304,30 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 			cell := &attr[bits.Len64(uint64(vHi-vLo))]
 			cell.count++
 			var c uint32
+			var rank int
 			if cell.count&(attrSampleEvery-1) == 1 {
 				start := time.Now()
-				c = kernel(ctx, u, nv)
+				c, rank = kernel(ctx, u, nv)
 				cell.sampledNanos += uint64(time.Since(start))
 				cell.samples++
 			} else {
-				c = kernel(ctx, u, nv)
+				c, rank = kernel(ctx, u, nv)
 			}
 			counts[e] = c
-			if i, ok := slices.BinarySearch(nv, u); ok {
-				counts[vLo+int64(i)] = c
+			if r := vLo + int64(rank); r < vHi && g.Dst[r] == u {
+				counts[r] = c
 			}
 		}
 	}
+}
+
+// nextRow returns the row that starts at offset e, the end of u's row:
+// the first vertex past u whose row is non-empty, with its degree and
+// end offset. e must be below the graph's edge count.
+func nextRow(g *graph.CSR, u uint32, e int64) (next uint32, degree, end int64) {
+	for u++; g.Off[u+1] == e; u++ {
+	}
+	return u, g.Off[u+1] - e, g.Off[u+1]
 }
 
 // owns is the edge loop's orientation rule: edge (u,v) is computed from
@@ -303,61 +340,72 @@ func owns(du, dv int64, u, v uint32) bool {
 	return du > dv || du == dv && u < v
 }
 
-// makeKernel returns the per-edge ComputeCnt procedure for the algorithm.
-func makeKernel(g *graph.CSR, contexts []workerCtx, opts Options) func(*workerCtx, uint32, []uint32) uint32 {
+// rankOf is u's index in the sorted row nv, found by binary search: the
+// reverse offset of every kernel but BMP's AVX-512 probe, which counts
+// it while it probes.
+func rankOf(nv []uint32, u uint32) int {
+	i, _ := slices.BinarySearch(nv, u)
+	return i
+}
+
+// makeKernel returns the algorithm's ComputeCnt split where the edge loop
+// calls it. enter readies the worker context for source u, once per row
+// at the row's first owned edge: for the bitmap algorithms it is the
+// warm-source check, which refreshes the index only when u differs from
+// the vertex it holds; the merge algorithms keep no per-source state and
+// return a nil enter. edge returns |N(u) ∩ N(v)| and u's rank in N(v),
+// where the edge loop writes the reverse count.
+func makeKernel(g *graph.CSR, opts Options) (enter func(*workerCtx, uint32), edge func(*workerCtx, uint32, []uint32) (uint32, int)) {
+	collect := opts.CollectWork
 	switch opts.Algorithm {
 	case AlgoM:
-		if opts.CollectWork {
-			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-				return intersect.MergeStats(g.Neighbors(u), nv, &ctx.work)
+		if collect {
+			return nil, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+				return intersect.MergeStats(g.Neighbors(u), nv, &ctx.work), rankOf(nv, u)
 			}
 		}
-		return func(_ *workerCtx, u uint32, nv []uint32) uint32 {
-			return intersect.Merge(g.Neighbors(u), nv)
+		return nil, func(_ *workerCtx, u uint32, nv []uint32) (uint32, int) {
+			return intersect.Merge(g.Neighbors(u), nv), rankOf(nv, u)
 		}
 
 	case AlgoMPS:
 		t, lanes := opts.SkewThreshold, opts.Lanes
-		if opts.CollectWork {
-			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-				return intersect.MPSStats(g.Neighbors(u), nv, t, lanes, &ctx.work)
+		if collect {
+			return nil, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+				return intersect.MPSStats(g.Neighbors(u), nv, t, lanes, &ctx.work), rankOf(nv, u)
 			}
 		}
-		return func(_ *workerCtx, u uint32, nv []uint32) uint32 {
-			return intersect.MPS(g.Neighbors(u), nv, t)
+		return nil, func(_ *workerCtx, u uint32, nv []uint32) (uint32, int) {
+			return intersect.MPS(g.Neighbors(u), nv, t), rankOf(nv, u)
 		}
 
 	case AlgoBMP:
-		if opts.CollectWork {
-			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-				refreshBitmap(g, ctx, u, true)
-				return intersect.BitmapStats(ctx.bm, nv, &ctx.work)
+		enter = func(ctx *workerCtx, u uint32) { refreshBitmap(g, ctx, u, collect) }
+		switch {
+		case collect:
+			return enter, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+				return intersect.BitmapStats(ctx.bm, nv, &ctx.work), rankOf(nv, u)
+			}
+		case simd.AVX512:
+			// One pass of the probe also gives u's rank in N(v).
+			return enter, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+				return ctx.bm.CountSetVector(nv, u)
 			}
 		}
-		// Consecutive edges mostly share their source, so the warm-source
-		// test runs inline and the refresh call is paid only when the
-		// source changes. The scalar probe inlines here too: testing the
-		// flag first spares hosts without AVX-512 a call per edge.
-		return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-			if ctx.pu != int64(u) {
-				refreshBitmap(g, ctx, u, false)
-			}
-			if simd.AVX512 {
-				return intersect.Bitmap(ctx.bm, nv)
-			}
-			return ctx.bm.CountSet(nv)
+		// The scalar probe inlines here, and a binary search finds the rank.
+		return enter, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+			return ctx.bm.CountSet(nv), rankOf(nv, u)
 		}
 
 	case AlgoBMPRF:
-		if opts.CollectWork {
-			return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-				refreshRF(g, ctx, u, true)
-				return intersect.BitmapRFStats(ctx.rf, nv, &ctx.work)
+		enter = func(ctx *workerCtx, u uint32) { refreshRF(g, ctx, u, collect) }
+		if collect {
+			return enter, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+				return intersect.BitmapRFStats(ctx.rf, nv, &ctx.work), rankOf(nv, u)
 			}
 		}
-		return func(ctx *workerCtx, u uint32, nv []uint32) uint32 {
-			refreshRF(g, ctx, u, false)
-			return intersect.BitmapRF(ctx.rf, nv)
+		return enter, func(ctx *workerCtx, u uint32, nv []uint32) (uint32, int) {
+			return intersect.BitmapRF(ctx.rf, nv), rankOf(nv, u)
 		}
 	}
 	panic("core: unreachable: options validated")

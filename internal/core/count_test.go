@@ -485,9 +485,9 @@ func TestLog2IsFloor(t *testing.T) {
 	}
 }
 
-// TestCountBMPProbePaths runs BMP's edge loop down both branches of its
-// probe test, the AVX-512 call where the host has it and the inlined
-// scalar loop, against the reference. The graph's average degree is 50,
+// TestCountBMPProbePaths runs BMP's edge loop with both of its probe
+// kernels, the AVX-512 pass that also ranks u where the host has it and
+// the inlined scalar loop with a binary search, against the reference. The graph's average degree is 50,
 // so most probed lists hold whole 16-ID blocks and a tail.
 func TestCountBMPProbePaths(t *testing.T) {
 	g := randomGraph(t, 7, 120, 3000)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"cncount/internal/graph"
 	"cncount/internal/metrics"
+	"cncount/internal/verify"
 )
 
 // TestCountRecordsMetrics checks that a metered run produces the full
@@ -127,21 +130,55 @@ func TestCountAttributionAbsentWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestCountMetricsDisabledMatches checks the metered and unmetered paths
-// compute identical counts.
+// gappedHubGraph returns a graph whose rows are empty except for the
+// vertices with ID % 7 in {2, 3, 4}: runs of isolated vertices lead the
+// ID range, separate every three others and end it, so the edge loop
+// must step past empty rows at row ends. Vertex 3 is a hub adjacent to
+// every other non-isolated vertex; the rest are joined at random.
+func gappedHubGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	const n = 310
+	rng := rand.New(rand.NewSource(11))
+	var live []graph.VertexID
+	for v := graph.VertexID(0); v < n; v++ {
+		if v%7 >= 2 && v%7 <= 4 {
+			live = append(live, v)
+		}
+	}
+	var edges []graph.Edge
+	for _, v := range live {
+		if v != 3 {
+			edges = append(edges, graph.Edge{U: 3, V: v})
+		}
+	}
+	for i := 0; i < 600; i++ {
+		edges = append(edges, graph.Edge{U: live[rng.Intn(len(live))], V: live[rng.Intn(len(live))]})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCountMetricsDisabledMatches runs every algorithm through both edge
+// loop bodies, unmetered and metered, at task sizes 1 and 7 on 3
+// threads, over a hub and runs of isolated vertices: tasks start inside
+// rows and cross row ends, the hub's row spans many tasks, and each run
+// must match the reference counts.
 func TestCountMetricsDisabledMatches(t *testing.T) {
-	g := randomGraph(t, 11, 150, 1500)
-	plain, err := Count(g, Options{Algorithm: AlgoBMP, Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metered, err := Count(g, Options{Algorithm: AlgoBMP, Threads: 3, Metrics: metrics.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := range plain.Counts {
-		if plain.Counts[e] != metered.Counts[e] {
-			t.Fatalf("counts diverge at offset %d: %d != %d", e, plain.Counts[e], metered.Counts[e])
+	g := gappedHubGraph(t)
+	for _, algo := range Algorithms {
+		for _, taskSize := range []int{1, 7} {
+			for _, mc := range []*metrics.Collector{nil, metrics.New()} {
+				res, err := Count(g, Options{Algorithm: algo, Threads: 3, TaskSize: taskSize, Metrics: mc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := verify.CheckCounts(g, res.Counts); err != nil {
+					t.Errorf("%v, task size %d, metered=%v: %v", algo, taskSize, mc.Enabled(), err)
+				}
+			}
 		}
 	}
 }

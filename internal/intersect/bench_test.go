@@ -17,7 +17,9 @@ func benchPair(sizeA, sizeB, universe int) ([]uint32, []uint32) {
 // BenchmarkKernelsBalanced compares every intersection kernel on
 // similar-cardinality sets — the regime where the merge should win and
 // pivot-skip should not. Bitmap and the executed VB run once per path the
-// host has (VB/scalar is the Merge it falls back to).
+// host has (VB/scalar is the Merge it falls back to). BitmapShort probes
+// lists of 1 to 15 IDs, which the vector path covers in its masked step
+// alone; each op probes all fifteen.
 func BenchmarkKernelsBalanced(b *testing.B) {
 	const universe = 1 << 20
 	a, c := benchPair(1024, 1024, universe)
@@ -25,6 +27,10 @@ func BenchmarkKernelsBalanced(b *testing.B) {
 	bm.SetList(a)
 	rf := bitmap.NewRangeFiltered(universe, 64)
 	rf.SetList(a)
+	var short [][]uint32
+	for k := 1; k < 16; k++ {
+		short = append(short, c[k*k:k*k+k])
+	}
 
 	b.Run("Merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -41,6 +47,14 @@ func BenchmarkKernelsBalanced(b *testing.B) {
 			defer usePath(path)()
 			for i := 0; i < b.N; i++ {
 				Bitmap(bm, c)
+			}
+		})
+		b.Run("BitmapShort/"+path, func(b *testing.B) {
+			defer usePath(path)()
+			for i := 0; i < b.N; i++ {
+				for _, s := range short {
+					Bitmap(bm, s)
+				}
 			}
 		})
 		b.Run("VB/"+path, func(b *testing.B) {

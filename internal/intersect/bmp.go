@@ -7,9 +7,12 @@ import (
 
 // Bitmap counts |N(u) ∩ A| where b is the bitmap index of N(u): loop over
 // every w ∈ A and count the set bits (Algorithm 2, IntersectBMP), 16 IDs
-// per step where the host has AVX-512 (bitmap.CountSetVector).
+// per step and the last len(A) % 16 in one masked step where the host has
+// AVX-512 (bitmap.CountSetVector). It ignores the kernel's rank: core's
+// edge loop takes it from CountSetVector to find the reverse offset.
 func Bitmap(b *bitmap.Bitmap, a []uint32) uint32 {
-	return b.CountSetVector(a)
+	c, _ := b.CountSetVector(a, 0)
+	return c
 }
 
 // BitmapStats is Bitmap with work accounting. Every probe of the

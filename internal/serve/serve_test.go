@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -418,6 +419,10 @@ func TestRequestParamValidation(t *testing.T) {
 		"/v1/sample?n=0",
 		"/v1/sample?n=999999999",
 		"/v1/count?workers=-1",
+		// Each worker allocates its own context (and BMP bitmap), so
+		// more than one per core is refused before any is allocated.
+		fmt.Sprintf("/v1/count?workers=%d", runtime.GOMAXPROCS(0)+1),
+		"/v1/count?workers=1000000000",
 	} {
 		if status, _ := getJSON(t, ts, q, nil); status != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", q, status)

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -570,9 +571,11 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, st *graphSt
 	}
 	workers := s.opts.CountThreads
 	if raw := r.URL.Query().Get("workers"); raw != "" {
+		// Each worker gets its own context and, for BMP, a |V|-bit
+		// bitmap, so the request may ask for at most one per core.
 		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			return errf(http.StatusBadRequest, "workers must be a positive integer, got %q", raw)
+		if maxWorkers := runtime.GOMAXPROCS(0); err != nil || n < 1 || n > maxWorkers {
+			return errf(http.StatusBadRequest, "workers must be in [1, %d], got %q", maxWorkers, raw)
 		}
 		workers = n
 	}
