@@ -40,15 +40,18 @@ benchmodule:
 # Other architectures build the Go fallback of every assembly kernel:
 # arm64 vets it, tests included; 386 also checks 32-bit int overflow.
 # 386 is build-only because the internal/graph tests use 2^32 constants.
+# s390x, big-endian, vets the binary CSR reader's byte swap.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/graph/
 
-# `go test` compiles benchmarks but never runs them: run the kernel and
-# core ones once (BenchmarkKernels*, the BenchmarkCount*Guard overhead
-# guards), so one that fails or panics breaks the gate.
+# `go test` compiles benchmarks but never runs them: run the kernel,
+# core and graph ones once (BenchmarkKernels*, the BenchmarkCount*Guard
+# overhead guards, BenchmarkReadBinary and the reorder ones), so one that
+# fails or panics breaks the gate.
 benchonce:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/intersect/ ./internal/core/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/intersect/ ./internal/core/ ./internal/graph/
 
 check: build fmt test race benchmodule cross benchonce
 

@@ -205,62 +205,72 @@ func TestRunMetricsFileCreateErrorExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestRunTraceFile drives `cnc -graph saved.bin -trace out.json` end to
+// TestRunTraceFile drives `cnc -graph saved.<ext> -trace out.json` end to
 // end on a generated-then-saved graph and schema-checks the timeline:
-// valid Chrome trace-event JSON, at least one span per sched worker, and
-// all three core phases.
+// valid Chrome trace-event JSON, at least one span per sched worker, all
+// three core phases, and the load phases of the file's format. A text
+// edge list is parsed and then built into a CSR; a binary CSR is decoded
+// straight into its arrays and then validated.
 func TestRunTraceFile(t *testing.T) {
-	dir := t.TempDir()
 	g, err := cncount.GenerateProfile("WI", 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A text edge list exercises both graph.parse and graph.build (binary
-	// CSR decodes directly and records only the parse span).
-	graphPath := filepath.Join(dir, "g.txt")
-	if err := cncount.SaveGraph(graphPath, g); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		file       string
+		load, skip string
+	}{
+		{"g.txt", "graph.build", "graph.validate"},
+		{"g.bin", "graph.validate", "graph.build"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			dir := t.TempDir()
+			graphPath := filepath.Join(dir, tc.file)
+			if err := cncount.SaveGraph(graphPath, g); err != nil {
+				t.Fatal(err)
+			}
 
-	cfg := smallRun()
-	cfg.profile = ""
-	cfg.graphPath = graphPath
-	cfg.traceOut = filepath.Join(dir, "out.json")
-	var buf bytes.Buffer
-	if err := run(context.Background(), cfg, &buf); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "trace written to") {
-		t.Error("trace path not announced")
-	}
+			cfg := smallRun()
+			cfg.profile = ""
+			cfg.graphPath = graphPath
+			cfg.traceOut = filepath.Join(dir, "out.json")
+			var buf bytes.Buffer
+			if err := run(context.Background(), cfg, &buf); err != nil {
+				t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+			}
+			if !strings.Contains(buf.String(), "trace written to") {
+				t.Error("trace path not announced")
+			}
 
-	data, err := os.ReadFile(cfg.traceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(data); err != nil {
-		t.Fatalf("trace fails schema check: %v\n%s", err, data)
-	}
-	perTid, names, err := trace.SpanCount(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// threads=2 → sched workers 0 and 1 → trace rows tid 1 and 2, each
-	// with at least one task span.
-	for w := 0; w < cfg.threads; w++ {
-		if perTid[w+1] == 0 {
-			t.Errorf("sched worker %d (tid %d) has no spans; per-tid: %v", w, w+1, perTid)
-		}
-	}
-	for _, phase := range []string{"graph.parse", "graph.build", "core.setup", "core.count", "core.reduce"} {
-		if names[phase] == 0 {
-			t.Errorf("phase span %q missing from trace; spans: %v", phase, names)
-		}
-	}
-	for _, phase := range []string{"reorder", "map_counts"} {
-		if names[phase] != 0 {
-			t.Errorf("BMP run traced phase %q; spans: %v", phase, names)
-		}
+			data, err := os.ReadFile(cfg.traceOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.Validate(data); err != nil {
+				t.Fatalf("trace fails schema check: %v\n%s", err, data)
+			}
+			perTid, names, err := trace.SpanCount(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// threads=2 → sched workers 0 and 1 → trace rows tid 1 and 2,
+			// each with at least one task span.
+			for w := 0; w < cfg.threads; w++ {
+				if perTid[w+1] == 0 {
+					t.Errorf("sched worker %d (tid %d) has no spans; per-tid: %v", w, w+1, perTid)
+				}
+			}
+			for _, phase := range []string{"graph.parse", tc.load, "core.setup", "core.count", "core.reduce"} {
+				if names[phase] == 0 {
+					t.Errorf("phase span %q missing from trace; spans: %v", phase, names)
+				}
+			}
+			for _, phase := range []string{tc.skip, "reorder", "map_counts"} {
+				if names[phase] != 0 {
+					t.Errorf("phase span %q traced; spans: %v", phase, names)
+				}
+			}
+		})
 	}
 }
 

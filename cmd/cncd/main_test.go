@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -832,7 +833,8 @@ func TestDaemonCrashRecoveryE2E(t *testing.T) {
 	var count struct {
 		Triangles uint64 `json:"triangles"`
 	}
-	status, _, body := get(t, base2+"/v1/count?workers=2")
+	// The daemon caps workers at its GOMAXPROCS, which is 1 on a 1-CPU host.
+	status, _, body := get(t, fmt.Sprintf("%s/v1/count?workers=%d", base2, min(2, runtime.GOMAXPROCS(0))))
 	if status != http.StatusOK {
 		t.Fatalf("/v1/count after recovery = %d: %s", status, body)
 	}

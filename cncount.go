@@ -153,9 +153,10 @@ func ReorderByDegeneracy(g *Graph) (*Graph, *Reordering) {
 // format when the path ends in ".bin".
 func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
-// LoadGraphObserved is LoadGraph recording parse/build phase durations
-// into mc and emitting matching spans onto the tracer's timeline (either
-// observer may be nil).
+// LoadGraphObserved is LoadGraph recording load phase durations into mc
+// (graph.parse, then graph.build for an edge list or graph.validate for a
+// binary CSR) and emitting matching spans onto the tracer's timeline
+// (either observer may be nil).
 func LoadGraphObserved(path string, mc *Metrics, tr *Tracer) (*Graph, error) {
 	return graph.LoadFileObserved(path, mc, tr)
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,44 @@ func TestReadBinaryCorruptRegressions(t *testing.T) {
 	// The uncorrupted control must still load.
 	if _, err := ReadBinary(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("control failed: %v", err)
+	}
+}
+
+// binaryWithHeader returns a binary CSR header claiming nv vertices and nd
+// Dst entries, followed by body.
+func binaryWithHeader(nv, nd uint64, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, binaryMagic)
+	b = binary.LittleEndian.AppendUint64(b, nv)
+	b = binary.LittleEndian.AppendUint64(b, nd)
+	return append(b, body...)
+}
+
+// TestReadBinaryBoundedAllocation pins ReadBinary's growth bound: a header
+// claiming a 1 GiB array over a body of a few bytes must fail having
+// allocated the reader's first chunk, not what the header claims.
+func TestReadBinaryBoundedAllocation(t *testing.T) {
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		// Off[0] = 0 and 4 bytes of a Dst claimed to hold 2^28 entries.
+		{"dst claims 1 GiB", binaryWithHeader(0, 1<<28, make([]byte, 8+4))},
+		// 2^27+1 offsets claimed, 6 bytes present.
+		{"offsets claim 1 GiB", binaryWithHeader(1<<27, 0, make([]byte, 6))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadBinary(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("lying header accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+				t.Errorf("allocated %d MiB for a %d-byte input", grew>>20, len(tc.data))
+			}
+		})
 	}
 }
 

@@ -78,8 +78,15 @@ func (g *CSR) HasEdge(u, v VertexID) bool {
 
 // Validate checks structural invariants: monotone offsets, in-range
 // destinations, sorted adjacency without duplicates or self-loops, and
-// symmetry (every (u,v) has a (v,u)). It is O(|E| log d) and intended for
-// tests and load-time verification.
+// symmetry (every (u,v) has a (v,u)). It is O(|E|) and runs on every
+// load of an untrusted file.
+//
+// Symmetry keeps one cursor per row, at its first entry not yet matched
+// by a reverse edge. Walking u upwards, each entry v > u of row u must be
+// the entry under row v's cursor and equal u, which advances that cursor.
+// Rows are sorted and u only grows, so a symmetric graph consumes the
+// entries below v of row v in order; at the end no row may keep an
+// unmatched entry below its own ID.
 func (g *CSR) Validate() error {
 	if len(g.Off) == 0 {
 		return errors.New("graph: empty offset array")
@@ -115,11 +122,28 @@ func (g *CSR) Validate() error {
 			}
 		}
 	}
+	cur := make([]int64, n)
+	copy(cur, g.Off[:n])
 	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(VertexID(u)) {
-			if !g.HasEdge(v, VertexID(u)) {
+		// Entries before row u's cursor are matched and below u.
+		for _, v := range g.Dst[cur[u]:g.Off[u+1]] {
+			if v < VertexID(u) {
+				continue // unmatched: the sweep below reports it
+			}
+			c := cur[v]
+			if c == g.Off[v+1] || g.Dst[c] > VertexID(u) {
 				return fmt.Errorf("graph: edge (%d,%d) has no reverse edge", u, v)
 			}
+			if w := g.Dst[c]; w < VertexID(u) {
+				// Row w < u was walked without matching this entry.
+				return fmt.Errorf("graph: edge (%d,%d) has no reverse edge", v, w)
+			}
+			cur[v] = c + 1
+		}
+	}
+	for v := 0; v < n; v++ {
+		if c := cur[v]; c < g.Off[v+1] && g.Dst[c] < VertexID(v) {
+			return fmt.Errorf("graph: edge (%d,%d) has no reverse edge", v, g.Dst[c])
 		}
 	}
 	return nil

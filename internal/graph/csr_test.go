@@ -220,6 +220,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		"out of range dst":   func(g *CSR) { g.Dst[0] = 100 },
 		"broken symmetry":    func(g *CSR) { g.Dst[len(g.Dst)-1] = 1 },
 		"nonmonotone off":    func(g *CSR) { g.Off[1] = g.Off[2] + 1 },
+		// Row 4 gains 0, but row 0 never names 4: no row walked after
+		// 0 reaches row 4's cursor, so only the final sweep sees it.
+		"one-directional edge below its row": func(g *CSR) {
+			g.Dst = append(g.Dst, 0)
+			g.Off[5]++
+		},
 	}
 	for name, corrupt := range cases {
 		g := mustGraph(t, 5, testEdges)
@@ -227,6 +233,87 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted corrupted graph", name)
 		}
+	}
+}
+
+// validateOracle checks what Validate checks, but symmetry by one HasEdge
+// binary search per directed edge, O(|E| log d): the reference for
+// Validate's cursor walk.
+func validateOracle(g *CSR) error {
+	if len(g.Off) == 0 {
+		return errors.New("empty offset array")
+	}
+	n := g.NumVertices()
+	if g.Off[0] != 0 || g.Off[n] != int64(len(g.Dst)) {
+		return errors.New("bad end offsets")
+	}
+	for u := 0; u < n; u++ {
+		if g.Off[u] > g.Off[u+1] || g.Off[u+1] > int64(len(g.Dst)) || g.Off[u] < 0 {
+			return errors.New("bad offsets")
+		}
+	}
+	for u := 0; u < n; u++ {
+		nbr := g.Dst[g.Off[u]:g.Off[u+1]]
+		for i, v := range nbr {
+			if int(v) >= n || VertexID(u) == v || (i > 0 && nbr[i-1] >= v) {
+				return errors.New("bad adjacency")
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(VertexID(u)) {
+			if !g.HasEdge(v, VertexID(u)) {
+				return errors.New("no reverse edge")
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesOracle corrupts random small graphs by replacing,
+// deleting or swapping one Dst entry, or by nudging one offset, and
+// requires Validate to accept exactly the graphs validateOracle accepts.
+func TestValidateMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var accepted, rejected int
+	for trial := 0; trial < 20000; trial++ {
+		n := 2 + rng.Intn(12)
+		g, err := FromEdges(n, randomEdges(rng, n, rng.Intn(3*n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(g.Dst)
+		switch op := rng.Intn(4); {
+		case op == 0 && m > 0: // replace, sometimes past |V|
+			g.Dst[rng.Intn(m)] = VertexID(rng.Intn(n + 1))
+		case op == 1 && m > 0: // delete
+			i := rng.Intn(m)
+			g.Dst = append(g.Dst[:i], g.Dst[i+1:]...)
+			for u := 1; u <= n; u++ {
+				if g.Off[u] > int64(i) {
+					g.Off[u]--
+				}
+			}
+		case op == 2 && m > 0: // swap
+			i, j := rng.Intn(m), rng.Intn(m)
+			g.Dst[i], g.Dst[j] = g.Dst[j], g.Dst[i]
+		default: // nudge
+			g.Off[rng.Intn(n+1)] += int64(rng.Intn(3) - 1)
+		}
+		want, got := validateOracle(g), g.Validate()
+		if (want == nil) != (got == nil) {
+			t.Fatalf("trial %d: Validate = %v, oracle = %v on Off=%v Dst=%v",
+				trial, got, want, g.Off, g.Dst)
+		}
+		if got == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	t.Logf("accepted %d, rejected %d", accepted, rejected)
+	if accepted == 0 || rejected == 0 {
+		t.Errorf("accepted %d, rejected %d: the corruptions must yield both verdicts", accepted, rejected)
 	}
 }
 

@@ -52,6 +52,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
+	f.Add(binaryWithHeader(0, 1<<28, make([]byte, 8+4))) // lying Dst length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"cncount/internal/metrics"
 	"cncount/internal/trace"
@@ -108,78 +110,92 @@ func WriteBinary(w io.Writer, g *CSR) error {
 
 // ReadBinary deserializes a CSR written by WriteBinary and validates it.
 //
-// The header's vertex and edge counts come from untrusted bytes, so the
-// arrays are read in bounded chunks: a truncated or corrupted file fails
-// with an error after a bounded allocation instead of reserving the full
-// claimed size up front.
+// The header's vertex and edge counts come from untrusted bytes, so
+// neither array is allocated at its claimed size: each is read straight
+// into a slice that starts at 4 MiB and doubles as its bytes arrive, so
+// its capacity stays within the larger of 4 MiB and twice the bytes read
+// into it. A truncated file or a lying header therefore fails once the
+// input runs out, having allocated on the order of the input's size,
+// never what the header claims.
 func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	const maxCount = 1 << 40 // bytes of either array, far beyond any real graph
-	if hdr[1] >= maxCount/8 || hdr[2] >= maxCount/4 {
-		return nil, fmt.Errorf("graph: implausible header (|V|=%d, dst len=%d)", hdr[1], hdr[2])
-	}
-	// Vertex IDs are uint32, so a count past MaxUint32 would wrap VertexID
-	// and the bitmap cardinality exactly like an oversized text-input ID.
-	if hdr[1] > math.MaxUint32 {
-		return nil, fmt.Errorf("graph: vertex count %d exceeds the uint32 ID space (max %d)",
-			hdr[1], uint64(math.MaxUint32))
-	}
-	n, m := int(hdr[1]), int(hdr[2])
-
-	off, err := readChunkedInt64(br, n+1)
+	g, err := decodeBinary(r)
 	if err != nil {
 		return nil, err
 	}
-	dst, err := readChunkedUint32(br, m)
-	if err != nil {
-		return nil, err
-	}
-	g := &CSR{Off: off, Dst: dst}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// readChunkedInt64 reads exactly count little-endian int64s, growing the
-// result incrementally so truncated input fails before a giant allocation.
-func readChunkedInt64(r io.Reader, count int) ([]int64, error) {
-	const chunk = 1 << 16
-	out := make([]int64, 0, min(count, chunk))
-	buf := make([]int64, min(count, chunk))
-	for len(out) < count {
-		c := min(count-len(out), chunk)
-		if err := binary.Read(r, binary.LittleEndian, buf[:c]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:c]...)
+// decodeBinary is ReadBinary without the validation.
+func decodeBinary(r io.Reader) (*CSR, error) {
+	var hdr [3 * 8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
-	return out, nil
+	le := binary.LittleEndian
+	magic, nv, nd := le.Uint64(hdr[0:]), le.Uint64(hdr[8:]), le.Uint64(hdr[16:])
+	if magic != binaryMagic {
+		return nil, fmt.Errorf("graph: bad magic %#x", magic)
+	}
+	const maxCount = 1 << 40 // bytes of either array, far beyond any real graph
+	if nv >= maxCount/8 || nd >= maxCount/4 {
+		return nil, fmt.Errorf("graph: implausible header (|V|=%d, dst len=%d)", nv, nd)
+	}
+	// Vertex IDs are uint32, so a count past MaxUint32 would wrap VertexID
+	// and the bitmap cardinality exactly like an oversized text-input ID.
+	if nv > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: vertex count %d exceeds the uint32 ID space (max %d)",
+			nv, uint64(math.MaxUint32))
+	}
+	off, err := readLE[int64](r, int(nv)+1)
+	if err != nil {
+		return nil, err
+	}
+	dst, err := readLE[VertexID](r, int(nd))
+	if err != nil {
+		return nil, err
+	}
+	return &CSR{Off: off, Dst: dst}, nil
 }
 
-// readChunkedUint32 is readChunkedInt64 for uint32 payloads.
-func readChunkedUint32(r io.Reader, count int) ([]uint32, error) {
-	const chunk = 1 << 16
-	out := make([]uint32, 0, min(count, chunk))
-	buf := make([]uint32, min(count, chunk))
-	for len(out) < count {
-		c := min(count-len(out), chunk)
-		if err := binary.Read(r, binary.LittleEndian, buf[:c]); err != nil {
+// readLE reads exactly count little-endian values of T from r straight
+// into the returned slice. Its capacity starts at 4 MiB and doubles
+// whenever it fills, so it never exceeds the larger of 4 MiB and twice
+// the bytes read so far. Each doubling touches fresh memory and copies
+// what was read, so the start is large enough to read a graph of a few
+// MB in one or two steps: from a 1 MiB start, TW ×1 (5.8 MB) read about
+// three times slower on a 2-vCPU Xeon.
+func readLE[T int64 | uint32](r io.Reader, count int) ([]T, error) {
+	size := int(unsafe.Sizeof(T(0)))
+	s := make([]T, 0, min(count, 4<<20/size))
+	for len(s) < count {
+		if len(s) == cap(s) {
+			s = append(make([]T, 0, min(count, 2*cap(s))), s...)
+		}
+		if _, err := io.ReadFull(r, asBytes(s[len(s):cap(s)])); err != nil {
 			return nil, err
 		}
-		out = append(out, buf[:c]...)
+		s = s[:cap(s)]
 	}
-	return out, nil
+	if !littleEndian {
+		b := asBytes(s)
+		for i := 0; i < len(b); i += size {
+			slices.Reverse(b[i : i+size])
+		}
+	}
+	return s, nil
 }
+
+// asBytes returns the memory of s as a byte slice.
+func asBytes[T int64 | uint32](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(T(0))))
+}
+
+// littleEndian reports whether the host stores integers little-endian, as
+// the binary format does, so readLE's bytes need no swap.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // LoadFile loads a graph from path, picking the format by extension:
 // ".bin" is the binary CSR format, ".metis" and ".graph" are METIS
@@ -190,9 +206,9 @@ func LoadFile(path string) (*CSR, error) {
 
 // LoadFileObserved is LoadFile recording phase durations into mc and
 // emitting matching spans onto tr's main timeline row: "graph.parse" for
-// reading/decoding the input and "graph.build" for CSR construction
-// (binary CSR files decode directly and record only the parse phase).
-// Either observer may be nil.
+// reading/decoding the input, then "graph.build" for CSR construction
+// from an edge list or "graph.validate" for checking a binary CSR, which
+// decodes straight into its arrays. Either observer may be nil.
 func LoadFileObserved(path string, mc *metrics.Collector, tr *trace.Tracer) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -202,10 +218,20 @@ func LoadFileObserved(path string, mc *metrics.Collector, tr *trace.Tracer) (*CS
 	switch {
 	case strings.HasSuffix(path, ".bin"):
 		stop, span := mc.StartPhase("graph.parse"), tr.Span("graph.parse")
-		g, err := ReadBinary(f)
+		g, err := decodeBinary(f)
 		span()
 		stop()
-		return g, err
+		if err != nil {
+			return nil, err
+		}
+		stop, span = mc.StartPhase("graph.validate"), tr.Span("graph.validate")
+		err = g.Validate()
+		span()
+		stop()
+		if err != nil {
+			return nil, err
+		}
+		return g, nil
 	case strings.HasSuffix(path, ".metis"), strings.HasSuffix(path, ".graph"):
 		stop, span := mc.StartPhase("graph.parse"), tr.Span("graph.parse")
 		g, err := ReadMETIS(f)
