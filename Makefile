@@ -38,20 +38,22 @@ benchmodule:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Other architectures build the Go fallback of every assembly kernel:
-# arm64 vets it, tests included; 386 also checks 32-bit int overflow.
-# 386 is build-only because the internal/graph tests use 2^32 constants.
-# s390x, big-endian, vets the binary CSR reader's byte swap.
+# arm64 vets it, tests included; 386 also checks 32-bit int overflow and
+# runs the graph loaders' tests, whose lying headers and IDs must not fit
+# a 32-bit int. s390x, big-endian, vets the binary CSR reader's byte swap.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/graph/
 	GOARCH=s390x $(GO) vet ./internal/graph/
 
 # `go test` compiles benchmarks but never runs them: run the kernel,
-# core and graph ones once (BenchmarkKernels*, the BenchmarkCount*Guard
-# overhead guards, BenchmarkReadBinary and the reorder ones), so one that
-# fails or panics breaks the gate.
+# core, graph and dynamic ones once (BenchmarkKernels*, the
+# BenchmarkCount*Guard overhead guards, BenchmarkReadBinary, the reorder
+# ones and BenchmarkIngestBatch), so one that fails or panics breaks the
+# gate.
 benchonce:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/intersect/ ./internal/core/ ./internal/graph/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/intersect/ ./internal/core/ ./internal/graph/ ./internal/dynamic/
 
 check: build fmt test race benchmodule cross benchonce
 

@@ -19,13 +19,18 @@
 // affected edge's count with the MPS kernel (pivot-skip for skewed pairs)
 // in one parallel pass — the same primitive the batch algorithms optimize.
 //
-// The graph keeps the last CSR snapshot it handed out and splices the next
-// one from it: rows untouched since then are bulk-copied, so a snapshot
-// costs one pass of memory copies rather than a rebuild from an edge list.
+// Readers see the graph through Publish, which returns an immutable View:
+// the base, the last compacted CSR, plus the adjacency rows changed since
+// that compaction. A publish therefore costs the rows a batch touched, not
+// a pass over every edge. Once the rows copied since the last compaction
+// pass a fixed share of the base, Publish compacts: ToCSR splices a fresh
+// base from the old one, bulk-copying the runs of rows that did not
+// change, and the next view starts with an empty overlay.
 package dynamic
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"cncount/internal/graph"
@@ -36,22 +41,44 @@ import (
 // the aligned counts cnt[u]; both directions of every edge are stored, as
 // in the CSR.
 //
-// Clean rows alias the last snapshot (the one FromCSR was given or ToCSR
-// returned). Snapshot arrays are shared with their readers and never
-// written: a row is copied on its first write and marked dirty, and the
-// next ToCSR splices the dirty rows in.
+// Rows are copied on write, and nothing a reader may hold is ever written.
+// Clean rows alias the base (the CSR FromCSR was given or ToCSR last
+// returned). A count row is copied on its first write since the base was
+// set and marked dirty; counts are never published, so it stays private
+// until the next ToCSR splices it in. An adjacency row is copied on its
+// first write since the last Publish and marked fresh; Publish hands the
+// fresh rows to its view, after which they are shared and the next write
+// copies them again.
 //
 // Graph is not safe for concurrent mutation.
 type Graph struct {
-	adj     [][]graph.VertexID
-	cnt     [][]uint32
-	dirty   []bool
-	snap    *graph.CSR
-	snapCnt []uint32
+	adj [][]graph.VertexID
+	cnt [][]uint32
+	// dirty marks the rows that differ from the base: their count rows
+	// are private copies, and so may be their adjacency rows.
+	dirty []bool
+	// fresh marks the adjacency rows copied since the last publish,
+	// which pending lists; no view holds them yet.
+	fresh   []bool
+	pending []graph.VertexID
+	base    *graph.CSR
+	baseCnt []uint32
+	view    *View // the last published view
+	// copied counts the row entries copied since the base was set.
+	copied int64
 	// edges and sum are the running undirected edge count and count sum.
 	edges int
 	sum   uint64
 }
+
+// compactShare sets when Publish compacts: once the entries copied since
+// the last compaction pass 1/compactShare of the base's directed edges.
+// On TW ×0.5 under 16-op batches a compaction then runs about every
+// fifth or sixth batch. Measured there in-process, 1/8 halved the time
+// per batch but kept about 0.5 B more heap per directed edge, most of
+// the headroom serve-mixed's bytes_per_edge bound leaves; 1/32 doubled
+// the time.
+const compactShare = 16
 
 // New returns an empty dynamic graph over n vertices.
 func New(n int) *Graph {
@@ -60,7 +87,7 @@ func New(n int) *Graph {
 }
 
 // FromCSR builds a dynamic graph from a static one and its per-edge counts.
-// It copies neither: g and counts become the first snapshot and must not be
+// It copies neither: g and counts become the base and must not be
 // modified afterwards.
 func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 	if int64(len(counts)) != g.NumEdges() {
@@ -71,6 +98,7 @@ func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 		adj:   make([][]graph.VertexID, n),
 		cnt:   make([][]uint32, n),
 		dirty: make([]bool, n),
+		fresh: make([]bool, n),
 		edges: int(g.NumEdges() / 2),
 	}
 	for _, c := range counts {
@@ -81,15 +109,20 @@ func FromCSR(g *graph.CSR, counts []uint32) (*Graph, error) {
 	return d, nil
 }
 
-// adopt makes (g, counts) the current snapshot and points every row at it.
-// The full slice expressions cap each row at its end, so even an append
-// could not write into the snapshot.
+// adopt makes (g, counts) the base, points every row at it and publishes
+// it as a view with no overlay. The full slice expressions cap each row
+// at its end, so even an append could not write into the base.
 func (d *Graph) adopt(g *graph.CSR, counts []uint32) {
-	d.snap, d.snapCnt = g, counts
+	d.base, d.baseCnt = g, counts
 	for u := range d.adj {
 		lo, hi := g.Off[u], g.Off[u+1]
 		d.adj[u], d.cnt[u] = g.Dst[lo:hi:hi], counts[lo:hi:hi]
 	}
+	clear(d.dirty)
+	clear(d.fresh)
+	d.pending = d.pending[:0]
+	d.copied = 0
+	d.view = ViewOf(g)
 }
 
 // NumVertices returns |V|.
@@ -170,23 +203,43 @@ func (d *Graph) bump(u, v graph.VertexID, delta uint32) {
 	}
 }
 
-// own makes row u private before its first write since the last snapshot.
-func (d *Graph) own(u graph.VertexID) {
+// ownCounts makes row u's counts private before their first write since
+// the base was set, with room for extra more entries.
+func (d *Graph) ownCounts(u graph.VertexID, extra int) {
 	if !d.dirty[u] {
 		d.dirty[u] = true
-		d.adj[u], d.cnt[u] = slices.Clone(d.adj[u]), slices.Clone(d.cnt[u])
+		d.cnt[u] = clone(d.cnt[u], extra)
+		d.copied += int64(len(d.cnt[u]))
 	}
 }
 
+// own makes row u's adjacency and counts private before an edit that
+// inserts or removes an entry; extra is the room to leave for inserts.
+func (d *Graph) own(u graph.VertexID, extra int) {
+	d.ownCounts(u, extra)
+	if !d.fresh[u] {
+		d.fresh[u] = true
+		d.pending = append(d.pending, u)
+		d.adj[u] = clone(d.adj[u], extra)
+		d.copied += int64(len(d.adj[u]))
+	}
+}
+
+// clone copies row into a new slice with capacity for extra more entries.
+func clone[T any](row []T, extra int) []T {
+	return append(make([]T, 0, len(row)+extra), row...)
+}
+
 // setCount writes c as the count of edge (a,b) in both directed rows. A
-// count that does not change leaves both rows clean.
+// count that does not change leaves both rows clean; one that does
+// copies only the count rows.
 func (d *Graph) setCount(a, b graph.VertexID, c uint32) {
 	i, _ := slices.BinarySearch(d.adj[a], b)
 	j, _ := slices.BinarySearch(d.adj[b], a)
 	if old := d.cnt[a][i]; old != c {
 		d.sum += uint64(c) - uint64(old)
-		d.own(a)
-		d.own(b)
+		d.ownCounts(a, 0)
+		d.ownCounts(b, 0)
 		d.cnt[a][i], d.cnt[b][j] = c, c
 	}
 }
@@ -195,7 +248,7 @@ func (d *Graph) setCount(a, b graph.VertexID, c uint32) {
 func (d *Graph) link(u, v graph.VertexID) {
 	for _, e := range [2][2]graph.VertexID{{u, v}, {v, u}} {
 		a, b := e[0], e[1]
-		d.own(a)
+		d.own(a, 1)
 		i, _ := slices.BinarySearch(d.adj[a], b)
 		d.adj[a] = slices.Insert(d.adj[a], i, b)
 		d.cnt[a] = slices.Insert(d.cnt[a], i, 0)
@@ -208,7 +261,7 @@ func (d *Graph) unlink(u, v graph.VertexID) {
 	c, _ := d.Count(u, v)
 	for _, e := range [2][2]graph.VertexID{{u, v}, {v, u}} {
 		a, b := e[0], e[1]
-		d.own(a)
+		d.own(a, 0)
 		i, _ := slices.BinarySearch(d.adj[a], b)
 		d.adj[a] = slices.Delete(d.adj[a], i, i+1)
 		d.cnt[a] = slices.Delete(d.cnt[a], i, i+1)
@@ -217,40 +270,74 @@ func (d *Graph) unlink(u, v graph.VertexID) {
 	d.sum -= uint64(c)
 }
 
-// ToCSR freezes the dynamic graph into a static CSR plus a count array
-// indexed by its edge offsets. The result is spliced from the previous
-// snapshot: each run of clean rows is one bulk copy, each dirty row is
-// copied from the working adjacency. With nothing dirty it returns the
-// previous snapshot itself. Returned arrays are never written again, so
-// readers may keep them across later updates.
-func (d *Graph) ToCSR() (*graph.CSR, []uint32, error) {
-	if !slices.Contains(d.dirty, true) {
-		return d.snap, d.snapCnt, nil
+// Publish returns the graph as an immutable View and reports whether it
+// compacted to do so. The view shares the base and its rows with the
+// graph and with earlier views: the adjacency rows written since the last
+// publish join the previous view's overlay and become shared, so the next
+// write to one copies it again. A publish thus costs the rows changed
+// since the last compaction, not |E|. Once the entries copied since the
+// last compaction pass 1/compactShare of the base's directed edges,
+// Publish compacts instead: ToCSR splices a fresh base, which the view
+// returns with an empty overlay.
+func (d *Graph) Publish() (v *View, compacted bool) {
+	if d.copied*compactShare > d.base.NumEdges() {
+		d.ToCSR()
+		return d.view, true
 	}
-	n, prev := len(d.adj), d.snap
-	off := make([]int64, n+1)
+	if len(d.pending) > 0 {
+		rows := make(map[graph.VertexID][]graph.VertexID, len(d.view.rows)+len(d.pending))
+		maps.Copy(rows, d.view.rows)
+		for _, u := range d.pending {
+			rows[u] = d.adj[u]
+			d.fresh[u] = false
+		}
+		d.pending = d.pending[:0]
+		d.view = &View{base: d.base, rows: rows, edges: 2 * int64(d.edges)}
+	}
+	return d.view, false
+}
+
+// ToCSR freezes the dynamic graph into a static CSR plus a count array
+// indexed by its edge offsets, and makes them the new base. The result is
+// spliced from the previous base: each run of clean rows is one bulk
+// copy, each dirty row is copied from the working rows. With nothing
+// dirty it returns the previous base itself. Returned arrays are never
+// written again, so readers may keep them across later updates. The
+// error is always nil.
+func (d *Graph) ToCSR() (*graph.CSR, []uint32, error) {
+	var changed []graph.VertexID
+	for u, dirty := range d.dirty {
+		if dirty {
+			changed = append(changed, graph.VertexID(u))
+		}
+	}
+	if len(changed) == 0 {
+		return d.base, d.baseCnt, nil
+	}
+	off := make([]int64, len(d.adj)+1)
 	for u, row := range d.adj {
 		off[u+1] = off[u] + int64(len(row))
 	}
-	dst, cnt := make([]graph.VertexID, off[n]), make([]uint32, off[n])
-	for u := 0; u < n; {
-		if d.dirty[u] {
-			copy(dst[off[u]:], d.adj[u])
-			copy(cnt[off[u]:], d.cnt[u])
-			d.dirty[u] = false
-			u++
-			continue
-		}
-		w := u + 1
-		for w < n && !d.dirty[w] {
-			w++
-		}
-		copy(dst[off[u]:off[w]], prev.Dst[prev.Off[u]:prev.Off[w]])
-		copy(cnt[off[u]:off[w]], d.snapCnt[prev.Off[u]:prev.Off[w]])
-		u = w
-	}
+	dst := splice(off, d.base.Off, d.base.Dst, changed, func(u graph.VertexID) []graph.VertexID { return d.adj[u] })
+	cnt := splice(off, d.base.Off, d.baseCnt, changed, func(u graph.VertexID) []uint32 { return d.cnt[u] })
 	d.adopt(&graph.CSR{Off: off, Dst: dst}, cnt)
-	return d.snap, cnt, nil
+	return d.base, d.baseCnt, nil
+}
+
+// splice fills a new array laid out by off from base, laid out by
+// baseOff, taking each row in changed (ascending) from row instead: each
+// run of unchanged rows between two changed ones is one bulk copy.
+func splice[T any](off, baseOff []int64, base []T, changed []graph.VertexID, row func(graph.VertexID) []T) []T {
+	n := len(off) - 1
+	out := make([]T, off[n])
+	next := 0 // the first row not yet copied
+	for _, u := range changed {
+		copy(out[off[next]:off[u]], base[baseOff[next]:baseOff[u]])
+		copy(out[off[u]:off[u+1]], row(u))
+		next = int(u) + 1
+	}
+	copy(out[off[next]:], base[baseOff[next]:baseOff[n]])
+	return out
 }
 
 // Triangles returns the triangle count: each triangle adds one to the

@@ -219,3 +219,136 @@ func TestSnapshotsImmutable(t *testing.T) {
 		}
 	}
 }
+
+// publishBatch returns a mixed batch on every fourth step and otherwise
+// one insert away from the hub vertex 0 (a no-op batch if the pair is
+// taken), so the overlay grows over several publishes before a mixed
+// batch pushes it past the compaction share.
+func publishBatch(rng *rand.Rand, d *Graph, n, step int) []Op {
+	if step%4 == 0 {
+		return mixedBatch(rng, n, edgeList(d))
+	}
+	u, v := graph.VertexID(1+rng.Intn(n-1)), graph.VertexID(1+rng.Intn(n-1))
+	if u == v || d.HasEdge(u, v) {
+		return noOpBatch(d, edgeList(d))
+	}
+	return []Op{{Kind: OpInsert, U: u, V: v}}
+}
+
+// TestPublishMatchesRecount is Publish's property test: after every batch
+// the view equals graph.FromEdges over the current edge set, row by row
+// and flattened, and the maintained counts equal a recount. Small batches
+// away from the hub leave the overlay below the compaction share, the
+// mixed ones push it past, so both kinds of publish are covered.
+func TestPublishMatchesRecount(t *testing.T) {
+	overlays, compactions := 0, 0
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 300 + rng.Intn(100)
+		d, err := FromCSR(countedGraph(t, rng, n, 6*n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 40; step++ {
+			apply(t, d, publishBatch(rng, d, n, step), step)
+
+			v, compacted := d.Publish()
+			if compacted {
+				compactions++
+			} else if len(v.rows) > 0 {
+				overlays++
+			}
+			want, wantCounts := recount(t, n, edgeList(d))
+			if v.NumVertices() != n || v.NumEdges() != want.NumEdges() {
+				t.Fatalf("seed %d step %d: view has %d vertices, %d edges; recount %d, %d",
+					seed, step, v.NumVertices(), v.NumEdges(), n, want.NumEdges())
+			}
+			for u := graph.VertexID(0); int(u) < n; u++ {
+				if !slices.Equal(v.Neighbors(u), want.Neighbors(u)) {
+					t.Fatalf("seed %d step %d: view row %d = %v, recount %v",
+						seed, step, u, v.Neighbors(u), want.Neighbors(u))
+				}
+				for e := want.Off[u]; e < want.Off[u+1]; e++ {
+					if c, ok := d.Count(u, want.Dst[e]); !ok || c != wantCounts[e] {
+						t.Fatalf("seed %d step %d: count(%d,%d) = %d, %v; recount %d",
+							seed, step, u, want.Dst[e], c, ok, wantCounts[e])
+					}
+				}
+			}
+			flat := v.CSR()
+			if !slices.Equal(flat.Off, want.Off) || !slices.Equal(flat.Dst, want.Dst) {
+				t.Fatalf("seed %d step %d: flattened view differs from FromEdges", seed, step)
+			}
+		}
+	}
+	t.Logf("%d overlay publishes, %d compactions", overlays, compactions)
+	if overlays == 0 || compactions < 3 {
+		t.Fatalf("%d overlay publishes and %d compactions; want both kinds, and several compactions",
+			overlays, compactions)
+	}
+}
+
+// viewDigest hashes every row of a view as Neighbors returns it.
+func viewDigest(v *View) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for u := graph.VertexID(0); int(u) < v.NumVertices(); u++ {
+		row := v.Neighbors(u)
+		for _, x := range append([]graph.VertexID{graph.VertexID(len(row))}, row...) {
+			for i := range b {
+				b[i] = byte(x >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestViewsImmutable pins the sharing contract of Publish: a view keeps
+// its rows while later batches edit them through the graph, and across a
+// compaction that replaces the base. A single insert is undone by the
+// next batch, whose delete would shift the published row in place if
+// Publish left it private.
+func TestViewsImmutable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 300
+	d, err := FromCSR(countedGraph(t, rng, n, 6*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		v    *View
+		flat *graph.CSR
+		sum  uint64
+	}
+	var kept []held
+	compactedAfterHold := false
+	var last []Op
+	for step := 0; step < 32; step++ {
+		ops := publishBatch(rng, d, n, step)
+		if step%4 == 2 && len(last) == 1 && last[0].Kind == OpInsert {
+			ops = []Op{{Kind: OpDelete, U: last[0].V, V: last[0].U}}
+		}
+		last = ops
+		apply(t, d, ops, step)
+		v, compacted := d.Publish()
+		if len(kept) > 0 && compacted {
+			compactedAfterHold = true
+		}
+		if len(v.rows) > 0 && len(kept) < 8 {
+			kept = append(kept, held{v, v.CSR(), viewDigest(v)})
+		}
+	}
+	if len(kept) == 0 || !compactedAfterHold {
+		t.Fatalf("held %d views with an overlay, compaction after the first: %v; want both",
+			len(kept), compactedAfterHold)
+	}
+	for i, h := range kept {
+		if viewDigest(h.v) != h.sum {
+			t.Errorf("view %d: rows changed after later batches", i)
+		}
+		if flat := h.v.CSR(); !slices.Equal(flat.Off, h.flat.Off) || !slices.Equal(flat.Dst, h.flat.Dst) {
+			t.Errorf("view %d: flattening changed after later batches", i)
+		}
+	}
+}

@@ -127,8 +127,11 @@ func (c *Context) Graph(name string) (*graph.CSR, error) {
 }
 
 // run returns the cached instrumented counting result for the dataset,
-// algorithm and lane width. The work counts are schedule-independent, so
-// one run serves every modeled thread count and memory mode.
+// algorithm and lane width. It collects on one thread: BMP and BMP-RF
+// count one bitmap refresh per worker that visits a row, so a row a
+// steal splits between two workers would be indexed twice and the tally
+// would depend on the schedule. One thread's work counts serve every
+// modeled thread count and memory mode.
 func (c *Context) run(dataset string, algo core.Algorithm, lanes int) (*core.Result, error) {
 	key := runKey{dataset, algo, lanes}
 	c.mu.Lock()
@@ -144,6 +147,7 @@ func (c *Context) run(dataset string, algo core.Algorithm, lanes int) (*core.Res
 	}
 	res, err := core.Count(g, core.Options{
 		Algorithm:   algo,
+		Threads:     1,
 		Lanes:       lanes,
 		RangeScale:  c.RangeScale,
 		CollectWork: true,

@@ -109,3 +109,22 @@ func TestFmtSec(t *testing.T) {
 		}
 	}
 }
+
+// TestModeledOutputRepeats renders Figure 3 twice, each time from a fresh
+// context, and requires identical text: the work tallies behind its
+// modeled times must not depend on how the scheduler split the rows.
+func TestModeledOutputRepeats(t *testing.T) {
+	e, err := ByID("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]string
+	for i := range outs {
+		if outs[i], err = e.Run(smallContext()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two renderings differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}

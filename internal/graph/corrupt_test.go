@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,10 @@ func TestReadBinaryCorruptRegressions(t *testing.T) {
 		{"implausible vertex count", put64(8, 1<<60)},
 		{"vertex count past uint32", put64(8, 1<<33)},
 		{"implausible dst length", put64(16, 1<<60)},
+		// 2^31 fits uint32 but not a 32-bit int, where int(nv)+1 would
+		// wrap and allocating the offsets would panic.
+		{"vertex count 2^31", put64(8, 1<<31)},
+		{"dst length 2^31", put64(16, 1<<31)},
 		// Offsets start at byte 24; Off[0] must be 0 and the sequence
 		// monotone, ending at len(Dst).
 		{"nonzero first offset", put64(24, 3)},
@@ -135,13 +140,20 @@ func TestReadMETISCorruptRegressions(t *testing.T) {
 		// The header claims 2^50 edges; the capped pre-allocation must let
 		// parsing proceed to the real (tiny) adjacency data and succeed or
 		// fail on its merits — not OOM. Here the data is consistent, so it
-		// loads.
+		// loads where int holds 2^50; a 32-bit int cannot, and the header
+		// is refused as a bad edge count.
 		{"absurd edge count loads", "", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "absurd edge count loads" {
 				g, err := ReadMETIS(strings.NewReader("2 1125899906842624\n2\n1\n"))
+				if strconv.IntSize == 32 {
+					if err == nil || !strings.Contains(err.Error(), "bad edge count") {
+						t.Fatalf("2^50 edges on a 32-bit host = %v, %v; want a bad edge count", g, err)
+					}
+					return
+				}
 				if err != nil || g.NumVertices() != 2 {
 					t.Fatalf("lying-header graph = %v, %v", g, err)
 				}

@@ -51,10 +51,12 @@ func ReadEdgeList(r io.Reader) (numVertices int, edges []Edge, err error) {
 		}
 		// IDs up to MaxUint32-1 are representable; MaxUint32 itself is not,
 		// because the vertex count maxID+1 would be 2³², which wraps the
-		// uint32 cardinality used by VertexID and the bitmap indexes.
-		if u >= math.MaxUint32 || v >= math.MaxUint32 {
+		// uint32 cardinality used by VertexID and the bitmap indexes. On a
+		// 32-bit host the count must also fit int, which caps IDs at
+		// MaxInt-1.
+		if u > maxVertexID || v > maxVertexID {
 			return 0, nil, fmt.Errorf("graph: line %d: vertex ID %d out of range (max %d)",
-				lineNo, max(u, v), uint64(math.MaxUint32-1))
+				lineNo, max(u, v), uint64(maxVertexID))
 		}
 		edges = append(edges, Edge{VertexID(u), VertexID(v)})
 		if int(u) > maxID {
@@ -69,6 +71,10 @@ func ReadEdgeList(r io.Reader) (numVertices int, edges []Edge, err error) {
 	}
 	return maxID + 1, edges, nil
 }
+
+// maxVertexID is the largest vertex ID a loader accepts: its vertex count,
+// one more, must fit both the uint32 ID space and int.
+const maxVertexID = min(math.MaxUint32, math.MaxInt) - 1
 
 // WriteEdgeList writes the undirected edge list of g ("u v" per line,
 // u < v once per edge).
@@ -139,15 +145,17 @@ func decodeBinary(r io.Reader) (*CSR, error) {
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
 	}
-	const maxCount = 1 << 40 // bytes of either array, far beyond any real graph
-	if nv >= maxCount/8 || nd >= maxCount/4 {
-		return nil, fmt.Errorf("graph: implausible header (|V|=%d, dst len=%d)", nv, nd)
-	}
 	// Vertex IDs are uint32, so a count past MaxUint32 would wrap VertexID
 	// and the bitmap cardinality exactly like an oversized text-input ID.
 	if nv > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds the uint32 ID space (max %d)",
 			nv, uint64(math.MaxUint32))
+	}
+	// maxDst bounds Dst at 1 TiB, far beyond any real graph. On a 32-bit
+	// host either length must also fit int, or int(nv)+1 would wrap.
+	const maxDst = 1 << 40 / 4
+	if nv >= math.MaxInt || nd >= min(maxDst, math.MaxInt) {
+		return nil, fmt.Errorf("graph: implausible header (|V|=%d, dst len=%d)", nv, nd)
 	}
 	off, err := readLE[int64](r, int(nv)+1)
 	if err != nil {

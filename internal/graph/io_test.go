@@ -3,9 +3,12 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -146,15 +149,28 @@ func TestReadEdgeListIDOverflow(t *testing.T) {
 		t.Errorf("error %q does not name the offending ID", err)
 	}
 
-	// The boundary ID MaxUint32-1 is fine: numVertices = MaxUint32 fits.
-	n, edges, err := ReadEdgeList(strings.NewReader("0 4294967294\n"))
+	// The boundary ID MaxUint32-1 is fine where int holds numVertices =
+	// MaxUint32. A 32-bit int does not: there the boundary is MaxInt-1,
+	// and 4294967294 is out of range rather than a negative int.
+	boundary := uint64(math.MaxUint32 - 1)
+	if strconv.IntSize == 32 {
+		boundary = math.MaxInt32 - 1
+		if _, _, err := ReadEdgeList(strings.NewReader("0 4294967294\n")); err == nil ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Errorf("ID 4294967294 on a 32-bit host: err = %v, want out of range", err)
+		}
+		if _, _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("0 %d\n", boundary+1))); err == nil {
+			t.Errorf("ID %d accepted; vertex count would overflow int", boundary+1)
+		}
+	}
+	n, edges, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("0 %d\n", boundary)))
 	if err != nil {
-		t.Fatalf("boundary ID 4294967294 rejected: %v", err)
+		t.Fatalf("boundary ID %d rejected: %v", boundary, err)
 	}
-	if n != 4294967295 {
-		t.Errorf("numVertices = %d, want 4294967295", n)
+	if uint64(n) != boundary+1 {
+		t.Errorf("numVertices = %d, want %d", n, boundary+1)
 	}
-	if len(edges) != 1 || edges[0] != (Edge{0, 4294967294}) {
+	if len(edges) != 1 || edges[0] != (Edge{0, VertexID(boundary)}) {
 		t.Errorf("edges = %v", edges)
 	}
 }

@@ -30,10 +30,12 @@ type IngestOptions struct {
 
 // Ingester is the serialized write path: one batch at a time runs
 // validate → WAL append (the commit point) → in-memory batch apply →
-// CSR snapshot splice → epoch swap, all under one lock, so the WAL order, the
-// in-memory state, and the epoch sequence can never disagree. Reads
-// are never blocked: queries keep serving the last installed epoch
-// while a batch is in flight.
+// publish → epoch swap, all under one lock, so the WAL order, the
+// in-memory state, and the epoch sequence can never disagree. The
+// publish hands the swap an overlay of the rows the batch changed; only
+// when the overlay has grown large does it compact the CSR. Reads are
+// never blocked: queries keep serving the last installed epoch while a
+// batch is in flight.
 type Ingester struct {
 	sem     chan struct{} // 1-buffered: the write lock, acquirable with a context
 	srv     *Server
@@ -44,7 +46,9 @@ type Ingester struct {
 	batches uint64
 	ops     uint64
 	applied uint64
-	broken  error
+	// compactions counts the batches whose publish compacted the CSR.
+	compactions uint64
+	broken      error
 }
 
 // NewIngester builds the write path over a dynamic graph whose state
@@ -123,12 +127,11 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 		in.broken = err
 		return IngestResult{}, fmt.Errorf("%w: apply after commit: %v", ErrIngestBroken, err)
 	}
-	csr, _, err := in.dyn.ToCSR()
-	if err != nil {
-		in.broken = err
-		return IngestResult{}, fmt.Errorf("%w: snapshot after commit: %v", ErrIngestBroken, err)
+	view, compacted := in.dyn.Publish()
+	if compacted {
+		in.compactions++
 	}
-	epoch := in.srv.SwapGraph(csr, in.opts.Name)
+	epoch := in.srv.install(view, in.opts.Name)
 
 	in.lastSeq = seq
 	in.batches++
@@ -142,14 +145,17 @@ func (in *Ingester) Apply(ctx context.Context, ops []dynamic.Op) (IngestResult, 
 // against a fresh /v1/count recount to prove replay reached the exact
 // pre-crash state.
 type IngestInfo struct {
-	Batches   uint64 `json:"batches"`
-	Ops       uint64 `json:"ops"`
-	Applied   uint64 `json:"applied"`
-	LastSeq   uint64 `json:"last_seq"`
-	Epoch     uint64 `json:"epoch"`
-	Triangles uint64 `json:"triangles"`
-	Durable   bool   `json:"durable"`
-	Broken    bool   `json:"broken"`
+	Batches uint64 `json:"batches"`
+	Ops     uint64 `json:"ops"`
+	Applied uint64 `json:"applied"`
+	// Compactions counts the batches whose publish spliced a fresh CSR;
+	// the others installed an overlay of their changed rows.
+	Compactions uint64 `json:"compactions"`
+	LastSeq     uint64 `json:"last_seq"`
+	Epoch       uint64 `json:"epoch"`
+	Triangles   uint64 `json:"triangles"`
+	Durable     bool   `json:"durable"`
+	Broken      bool   `json:"broken"`
 }
 
 // Info snapshots the ingester under the write lock; every field,
@@ -161,13 +167,14 @@ func (in *Ingester) Info() IngestInfo {
 	in.sem <- struct{}{}
 	defer func() { <-in.sem }()
 	return IngestInfo{
-		Batches:   in.batches,
-		Ops:       in.ops,
-		Applied:   in.applied,
-		LastSeq:   in.lastSeq,
-		Epoch:     in.srv.Epoch(),
-		Triangles: in.dyn.Triangles(),
-		Durable:   in.opts.WAL != nil,
-		Broken:    in.broken != nil,
+		Batches:     in.batches,
+		Ops:         in.ops,
+		Applied:     in.applied,
+		Compactions: in.compactions,
+		LastSeq:     in.lastSeq,
+		Epoch:       in.srv.Epoch(),
+		Triangles:   in.dyn.Triangles(),
+		Durable:     in.opts.WAL != nil,
+		Broken:      in.broken != nil,
 	}
 }

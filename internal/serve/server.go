@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cncount"
+	"cncount/internal/dynamic"
 	"cncount/internal/graph"
 	"cncount/internal/intersect"
 	"cncount/internal/metrics"
@@ -74,12 +75,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// graphState is the immutable unit of swap: a graph pointer and the
-// epoch it was installed under travel together through one atomic
-// pointer, so a request sees a consistent (graph, epoch) pair even
-// while SwapGraph races it.
+// graphState is the immutable unit of swap: a graph view and the epoch
+// it was installed under travel together through one atomic pointer, so
+// a request sees a consistent (graph, epoch) pair even while a swap races
+// it. Point queries read the view's rows; /v1/count and /v1/sample take
+// it as one flat CSR.
 type graphState struct {
-	g     *cncount.Graph
+	g     *dynamic.View
 	name  string
 	epoch uint64
 }
@@ -127,7 +129,7 @@ func New(g *cncount.Graph, name string, opts Options) *Server {
 		s.capture = NewCapture(opts.CaptureSlowest)
 	}
 	opts.Requests.SetInFlight(s.adm.inFlight)
-	s.state.Store(&graphState{g: g, name: name, epoch: 1})
+	s.state.Store(&graphState{g: dynamic.ViewOf(g), name: name, epoch: 1})
 	s.mux.HandleFunc("/v1/info", s.wrap("info", http.MethodGet, s.handleInfo))
 	s.mux.HandleFunc("/v1/edge", s.wrap("edge", http.MethodGet, s.handleEdge))
 	s.mux.HandleFunc("/v1/pair", s.wrap("pair", http.MethodGet, s.handlePair))
@@ -165,9 +167,14 @@ func (s *Server) Mux() *http.ServeMux { return s.mux }
 // out of the LRU; in-flight requests finish against the graph they
 // started with.
 func (s *Server) SwapGraph(g *cncount.Graph, name string) uint64 {
+	return s.install(dynamic.ViewOf(g), name)
+}
+
+// install is SwapGraph for a published view of a dynamic graph.
+func (s *Server) install(v *dynamic.View, name string) uint64 {
 	for {
 		old := s.state.Load()
-		next := &graphState{g: g, name: name, epoch: old.epoch + 1}
+		next := &graphState{g: v, name: name, epoch: old.epoch + 1}
 		if s.state.CompareAndSwap(old, next) {
 			return next.epoch
 		}
@@ -466,10 +473,10 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request, st *graphSta
 		u, v = v, u // counts are symmetric; canonicalize the cache key
 	}
 	return s.cached(w, r, st, fmt.Sprintf("edge:%d:%d", u, v), func() ([]byte, error) {
-		cnt, err := cncount.CountEdge(st.g, u, v)
-		if err != nil {
-			return nil, errf(http.StatusNotFound, "%v", err)
+		if !st.g.HasEdge(u, v) {
+			return nil, errf(http.StatusNotFound, "(%d,%d) is not an edge", u, v)
 		}
+		cnt := intersect.Merge(st.g.Neighbors(u), st.g.Neighbors(v))
 		return marshalBody(map[string]any{
 			"epoch": st.epoch, "u": u, "v": v, "count": cnt,
 		})
@@ -587,7 +594,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, st *graphSt
 		// The request's private tracer rides Options.Trace into sched.Run's
 		// Obs, so the captured entry's span tree reaches the
 		// per-worker task spans of this recount — and only this one.
-		res, err := cncount.Count(st.g, cncount.Options{
+		res, err := cncount.Count(st.g.CSR(), cncount.Options{
 			Algorithm: algo,
 			Threads:   workers,
 			Context:   r.Context(),
@@ -628,16 +635,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request, st *graphS
 			return errf(http.StatusBadRequest, "n must be in [1, %d], got %q", maxSample, raw)
 		}
 	}
-	total := st.g.NumEdges()
+	g := st.g.CSR()
+	total := g.NumEdges()
 	if int64(n) > total {
 		n = int(total)
 	}
 	// Offsets ascend, the access pattern FindSrc's stash amortizes.
-	src := graph.NewSrcFinder(st.g)
+	src := graph.NewSrcFinder(g)
 	edges := make([][2]cncount.VertexID, 0, n)
 	for i := 0; i < n; i++ {
 		off := total * int64(i) / int64(n)
-		edges = append(edges, [2]cncount.VertexID{src.Find(off), st.g.Dst[off]})
+		edges = append(edges, [2]cncount.VertexID{src.Find(off), g.Dst[off]})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(map[string]any{

@@ -2,15 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cncount"
 	"cncount/internal/dynamic"
+	"cncount/internal/graph"
 	"cncount/internal/wal"
 )
 
@@ -352,5 +359,254 @@ func TestUpdateRecoveryRoundTrip(t *testing.T) {
 	}
 	if recovered.NumEdges() != dyn.NumEdges() {
 		t.Fatalf("recovered edges = %d, live = %d", recovered.NumEdges(), dyn.NumEdges())
+	}
+}
+
+// churn generates update batches in serve-mixed's shape: each deletes
+// the previous batch's inserts and inserts fresh random non-edges. edges
+// mirrors the graph's undirected edge set (u < v) after every batch.
+type churn struct {
+	rng   *rand.Rand
+	n     int
+	live  []dynamic.Op
+	edges map[[2]cncount.VertexID]bool
+}
+
+func newChurn(g *cncount.Graph, seed int64) *churn {
+	c := &churn{rng: rand.New(rand.NewSource(seed)), n: g.NumVertices(), edges: map[[2]cncount.VertexID]bool{}}
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(cncount.VertexID(u)) {
+			if cncount.VertexID(u) < v {
+				c.edges[[2]cncount.VertexID{cncount.VertexID(u), v}] = true
+			}
+		}
+	}
+	return c
+}
+
+// next returns a batch that deletes the previous batch's inserts and
+// inserts the given number of random non-edges, and records it in edges.
+func (c *churn) next(inserts int) []dynamic.Op {
+	var ops []dynamic.Op
+	for _, op := range c.live {
+		ops = append(ops, dynamic.Op{Kind: dynamic.OpDelete, U: op.U, V: op.V})
+		delete(c.edges, [2]cncount.VertexID{op.U, op.V})
+	}
+	c.live = c.live[:0]
+	for len(c.live) < inserts {
+		u, v := cncount.VertexID(c.rng.Intn(c.n)), cncount.VertexID(c.rng.Intn(c.n))
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || c.edges[[2]cncount.VertexID{u, v}] {
+			continue
+		}
+		c.edges[[2]cncount.VertexID{u, v}] = true
+		c.live = append(c.live, dynamic.Op{Kind: dynamic.OpInsert, U: u, V: v})
+	}
+	return append(ops, c.live...)
+}
+
+// graph rebuilds the recorded edge set with graph.FromEdges.
+func (c *churn) graph(t *testing.T) *cncount.Graph {
+	t.Helper()
+	var edges []graph.Edge
+	for e := range c.edges {
+		edges = append(edges, graph.Edge{U: e[0], V: e[1]})
+	}
+	g, err := graph.FromEdges(c.n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestUpdateReportsCompactions pins the amortization /v1/info reports:
+// over many small batches most publishes install an overlay of the
+// changed rows and only some compact the CSR.
+func TestUpdateReportsCompactions(t *testing.T) {
+	g := testGraph(t)
+	s, ts := newTestServer(t, g, Options{})
+	enableUpdates(t, s, g, nil)
+	c := newChurn(g, 1)
+	const batches = 60
+	for i := 0; i < batches; i++ {
+		if _, err := s.Ingest().Apply(context.Background(), c.next(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var info struct {
+		Ingest *IngestInfo `json:"ingest"`
+	}
+	if st, _ := getJSON(t, ts, "/v1/info", &info); st != http.StatusOK || info.Ingest == nil {
+		t.Fatalf("info = %d, ingest %v", st, info.Ingest)
+	}
+	if n := info.Ingest.Compactions; n == 0 || n >= batches {
+		t.Fatalf("%d compactions in %d batches, want some but not all", n, batches)
+	}
+}
+
+// answer runs one GET handler against a given graph state, bypassing the
+// cache and the serving wrapper, and returns its status and JSON body
+// without the recount's timing.
+func answer(t *testing.T, h func(http.ResponseWriter, *http.Request, *graphState) error, st *graphState, path string) (int, map[string]any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	if err := h(rec, httptest.NewRequest(http.MethodGet, path, nil), st); err != nil {
+		var he *httpError
+		if !errors.As(err, &he) {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return he.status, nil
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	delete(body, "elapsed_nanos")
+	return rec.Code, body
+}
+
+// TestHeldEpochKeepsItsAnswers holds the state of one epoch, whose view
+// carries an overlay, while later batches run through Ingester.Apply
+// past at least one compaction. Every endpoint that reads the graph must
+// still answer on the held state exactly as on a graph.FromEdges rebuild
+// of that epoch's edge set.
+func TestHeldEpochKeepsItsAnswers(t *testing.T) {
+	g := testGraph(t)
+	s := New(g, "WI", Options{CacheEntries: -1})
+	enableUpdates(t, s, g, nil)
+	in := s.Ingest()
+	c := newChurn(g, 2)
+	apply := func() []dynamic.Op {
+		ops := c.next(4)
+		if _, err := in.Apply(context.Background(), ops); err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	for i := 0; i < 3; i++ {
+		apply()
+	}
+	// Hold an epoch whose own batch did not compact, so it reads
+	// through an overlay.
+	var held *graphState
+	var heldOps []dynamic.Op
+	for i := 0; held == nil; i++ {
+		if i == 200 {
+			t.Fatal("every batch compacted")
+		}
+		before := in.compactions
+		ops := apply()
+		if in.compactions == before {
+			held, heldOps = s.state.Load(), ops
+		}
+	}
+	ref := &graphState{g: dynamic.ViewOf(c.graph(t)), name: held.name, epoch: held.epoch}
+	for i, start := 0, in.compactions; in.compactions == start; i++ {
+		if i == 200 {
+			t.Fatal("no compaction in 200 batches")
+		}
+		apply()
+	}
+	later := apply()
+
+	type query struct {
+		h    func(http.ResponseWriter, *http.Request, *graphState) error
+		path string
+	}
+	queries := []query{
+		{s.handleCount, "/v1/count?algo=bmp&workers=1"},
+		{s.handleCount, "/v1/count?algo=mps&workers=1"},
+		{s.handleSample, "/v1/sample?n=64"},
+	}
+	for _, ops := range [][]dynamic.Op{heldOps, later} {
+		for _, op := range ops {
+			queries = append(queries,
+				query{s.handleEdge, fmt.Sprintf("/v1/edge?u=%d&v=%d", op.U, op.V)},
+				query{s.handlePair, fmt.Sprintf("/v1/pair?u=%d&v=%d", op.U, op.V)},
+				query{s.handleTopK, fmt.Sprintf("/v1/topk?u=%d&k=8", op.U)},
+				query{s.handleTopK, fmt.Sprintf("/v1/topk?u=%d&k=8", op.V)})
+		}
+	}
+	for _, q := range queries {
+		gotStatus, got := answer(t, q.h, held, q.path)
+		wantStatus, want := answer(t, q.h, ref, q.path)
+		if gotStatus != wantStatus || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on the held epoch = %d %v, rebuild %d %v", q.path, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// TestConcurrentQueriesAndUpdates runs readers while Ingester.Apply
+// publishes overlays and compacts. The readers query the rows of the
+// last batch, which the next batch edits again. Under -race it pins that
+// no write reaches an array a published view holds.
+func TestConcurrentQueriesAndUpdates(t *testing.T) {
+	g := testGraph(t)
+	s, ts := newTestServer(t, g, Options{CacheEntries: -1})
+	enableUpdates(t, s, g, nil)
+	c := newChurn(g, 3)
+
+	var last atomic.Pointer[[]dynamic.Op]
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			ops := c.next(4)
+			if _, err := s.Ingest().Apply(context.Background(), ops); err != nil {
+				errs <- err
+				return
+			}
+			last.Store(&ops)
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				u, v := firstEdge(g)
+				if ops := last.Load(); ops != nil {
+					op := (*ops)[rng.Intn(len(*ops))]
+					u, v = op.U, op.V
+				}
+				for _, p := range []string{
+					fmt.Sprintf("/v1/edge?u=%d&v=%d", u, v),
+					fmt.Sprintf("/v1/pair?u=%d&v=%d", u, v),
+					fmt.Sprintf("/v1/topk?u=%d&k=4", v),
+				} {
+					resp, err := ts.Client().Get(ts.URL + p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+						t.Errorf("%s = %d", p, resp.StatusCode)
+						return
+					}
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if info := s.Ingest().Info(); info.Compactions == 0 || info.Compactions == info.Batches {
+		t.Fatalf("%d compactions in %d batches: readers did not see both kinds of publish",
+			info.Compactions, info.Batches)
 	}
 }
