@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"cncount/internal/experiments"
 	"cncount/internal/trace"
 )
 
@@ -79,6 +81,61 @@ func TestRunSingleExperimentWithTraceAndMetrics(t *testing.T) {
 	if len(snaps) != 1 || snaps[0].Experiment != "fig3" {
 		t.Errorf("snapshots = %+v, want one for fig3", snaps)
 	}
+}
+
+// goldenAll is the output of `-experiment all -scale 0.1`. A change that
+// moves a modeled cell regenerates it with
+//
+//	go run ./cmd/experiments -experiment all -scale 0.1 -out cmd/experiments/testdata/all_scale0.1.golden
+//
+// and lists the moved cells in its description.
+const goldenAll = "testdata/all_scale0.1.golden"
+
+// codeBlockRE matches one experiment's fenced output block.
+var codeBlockRE = regexp.MustCompile("(?s)```\n(.*?)```")
+
+// TestAllExperimentsMatchGolden pins every modeled table and figure: the
+// whole run at scale 0.1 must reproduce the golden file byte for byte,
+// and each experiment must render a non-empty block of finite values.
+func TestAllExperimentsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), appConfig{id: "all", scale: 0.1}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.String()
+	blocks := codeBlockRE.FindAllStringSubmatch(got, -1)
+	if len(blocks) != len(experiments.All) {
+		t.Errorf("%d output blocks for %d experiments", len(blocks), len(experiments.All))
+	}
+	for i, b := range blocks {
+		if strings.TrimSpace(b[1]) == "" {
+			t.Errorf("block %d is empty", i+1)
+		}
+	}
+	if strings.Contains(got, "NaN") || strings.Contains(got, "+Inf") {
+		t.Error("output holds non-finite values")
+	}
+	want, err := os.ReadFile(goldenAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gotLines {
+		if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			var w string
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", goldenAll, i+1, gotLines[i], w)
+		}
+	}
+	t.Fatalf("output is a prefix of %s: %d lines, want %d", goldenAll, len(gotLines), len(wantLines))
 }
 
 func TestRunUnknownExperiment(t *testing.T) {

@@ -74,7 +74,7 @@ type workerCtx struct {
 
 // Count computes the all-edge common neighbor counts of g.
 //
-// Each edge is computed from its larger-degree endpoint's row (see owns),
+// Each edge is computed from its larger-degree endpoint's row (see Owns),
 // so BMP has the paper's O(min(d_u,d_v)) per-intersection bound on any
 // vertex order. BMP-RF's range filter still depends on the ID layout and
 // wants a degree-descending graph (graph.ReorderByDegree).
@@ -221,7 +221,7 @@ func indexBytes(o Options, n int64) int64 {
 // algorithm. FindSrc runs once per task, for the task's first offset;
 // from there the loop walks the rows, stepping u at each row end past any
 // empty rows, so d_u is read once per row. At a row's first owned edge
-// (see owns) the loop calls the kernel's enter, the bitmap algorithms'
+// (see Owns) the loop calls the kernel's enter, the bitmap algorithms'
 // warm-source check, so a row that owns no edge indexes nothing. Each
 // owned edge is computed by the kernel's edge, and the count is assigned
 // symmetrically to the reverse offset at u's rank in N(v), once that
@@ -247,7 +247,7 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 				}
 				v := g.Dst[e]
 				vLo, vHi := g.Off[v], g.Off[v+1]
-				if !owns(du, vHi-vLo, u, v) {
+				if !Owns(du, vHi-vLo, u, v) {
 					continue
 				}
 				if cold {
@@ -272,7 +272,7 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 			}
 		}
 	}
-	// Metered body: same loop plus attribution. owns puts the smaller
+	// Metered body: same loop plus attribution. Owns puts the smaller
 	// degree on v, so d_v's bit length is the min-degree bucket.
 	return func(worker int, lo, hi int64) {
 		ctx := &contexts[worker]
@@ -287,7 +287,7 @@ func makeBody(g *graph.CSR, counts []uint32, contexts []workerCtx, opts Options)
 			}
 			v := g.Dst[e]
 			vLo, vHi := g.Off[v], g.Off[v+1]
-			if !owns(du, vHi-vLo, u, v) {
+			if !Owns(du, vHi-vLo, u, v) {
 				continue
 			}
 			if cold {
@@ -330,13 +330,13 @@ func nextRow(g *graph.CSR, u uint32, e int64) (next uint32, degree, end int64) {
 	return u, g.Off[u+1] - e, g.Off[u+1]
 }
 
-// owns is the edge loop's orientation rule: edge (u,v) is computed from
-// u's row when d_u > d_v, or d_u == d_v and u < v. Each undirected edge
-// is computed once, and BMP's bitmap indexes the larger row, so every
-// intersection probes min(d_u, d_v) elements on any vertex order. On a
-// degree-descending graph (graph.ReorderByDegree) the owned edges are
-// exactly those with u < v.
-func owns(du, dv int64, u, v uint32) bool {
+// Owns is the orientation rule of every edge loop, core's and gpusim's:
+// edge (u,v) is computed from u's row when d_u > d_v, or d_u == d_v and
+// u < v. Each undirected edge is computed once, and BMP's bitmap indexes
+// the larger row, so every intersection probes min(d_u, d_v) elements on
+// any vertex order. On a degree-descending graph (graph.ReorderByDegree)
+// the owned edges are exactly those with u < v.
+func Owns(du, dv int64, u, v uint32) bool {
 	return du > dv || du == dv && u < v
 }
 

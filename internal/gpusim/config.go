@@ -11,6 +11,11 @@
 // paper's shapes: BMP beats MPS on the GPU, too few passes thrash the
 // unified memory on Friendster, and warps-per-block tuning helps BMP until
 // occupancy saturates.
+//
+// Each thread block computes the edges its vertex owns under core.Owns,
+// the CPU engine's orientation rule, with internal/intersect's kernels,
+// whose work tallies also charge the pivot-skip and range-filter kernels;
+// a host pass then copies each count to its reverse edge.
 package gpusim
 
 import (
@@ -37,6 +42,10 @@ const (
 	// DefaultWarpsPerBlock is the paper's default tuning ("we use 4 warps
 	// per thread block", 100% theoretical occupancy).
 	DefaultWarpsPerBlock = 4
+	// globalMemBytes is the TITAN Xp's global memory (Mem_global) and
+	// reservedMemBytes the paper's Mem_reserved, both before CapacityScale.
+	globalMemBytes   = 12 << 30
+	reservedMemBytes = 500 << 20
 	// PageBytes is the unified-memory migration granularity.
 	PageBytes = 64 << 10
 	// pageFaultLatencySec is the service time of one on-demand unified-
@@ -47,26 +56,18 @@ const (
 	pcieBandwidth = 12e9
 )
 
-// Config parameterizes one simulated GPU run.
+// Config parameterizes one simulated GPU run on the paper's TITAN Xp
+// (archsim.GPU).
 type Config struct {
 	// Algorithm is core.AlgoMPS, core.AlgoBMP or core.AlgoBMPRF. AlgoM runs
 	// the merge kernel without the PS kernel split.
 	Algorithm core.Algorithm
 
-	// Spec is the GPU being modeled; zero value means archsim.GPU.
-	Spec archsim.Spec
-
-	// CapacityScale scales the global-memory capacity to the dataset scale
-	// (see archsim.Spec.ScaledCapacity); <= 0 means 1.
+	// CapacityScale scales the modeled memory capacities to the dataset
+	// scale: Mem_global is 12 GB and Mem_reserved, the memory kept for
+	// sequential CSR/count streaming, 500 MB, both times CapacityScale.
+	// <= 0 means 1.
 	CapacityScale float64
-
-	// GlobalMemBytes overrides the modeled global-memory capacity after
-	// scaling; 0 means 12 GB * CapacityScale (the TITAN Xp).
-	GlobalMemBytes int64
-
-	// ReservedBytes is Mem_reserved, the tunable memory kept for sequential
-	// CSR/count streaming (paper: 500 MB); 0 means 500 MB * CapacityScale.
-	ReservedBytes int64
 
 	// WarpsPerBlock is blockDim.y; 0 means DefaultWarpsPerBlock.
 	WarpsPerBlock int
@@ -83,14 +84,12 @@ type Config struct {
 	// <= 0 uses 64.
 	RangeScale int
 
-	// CoProcessing enables the CPU-GPU co-processing of the symmetric
-	// assignment (Algorithm 4); when false the reverse offsets are resolved
-	// by binary search after the kernels, the slow path of Table 5.
+	// CoProcessing models the CPU-GPU co-processing of the symmetric
+	// assignment (Algorithm 4): the CPU finds the reverse offsets while
+	// the kernels run, leaving only the final remap after them. When
+	// false the reverse offsets are binary-searched after the kernels,
+	// the slow path of Table 5. Either way the counts are the same.
 	CoProcessing bool
-
-	// HostThreads is the CPU-side worker count for the post-processing
-	// phase; < 1 means GOMAXPROCS.
-	HostThreads int
 
 	// Metrics, when non-nil, receives the kernel passes' per-worker
 	// scheduler tallies (including steal counts) under scope
@@ -105,17 +104,8 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.Spec.Name == "" {
-		c.Spec = archsim.GPU
-	}
 	if c.CapacityScale <= 0 {
 		c.CapacityScale = 1
-	}
-	if c.GlobalMemBytes == 0 {
-		c.GlobalMemBytes = int64(12 * float64(1<<30) * c.CapacityScale)
-	}
-	if c.ReservedBytes == 0 {
-		c.ReservedBytes = int64(500 * float64(1<<20) * c.CapacityScale)
 	}
 	if c.WarpsPerBlock <= 0 {
 		c.WarpsPerBlock = DefaultWarpsPerBlock
@@ -186,11 +176,11 @@ func PlanPasses(g *graph.CSR, cfg Config) MemoryPlan {
 	plan := MemoryPlan{
 		CSRBytes:      g.MemoryBytes(),
 		CountBytes:    g.NumEdges() * 4,
-		ReservedBytes: cfg.ReservedBytes,
-		GlobalBytes:   cfg.GlobalMemBytes,
+		ReservedBytes: int64(reservedMemBytes * cfg.CapacityScale),
+		GlobalBytes:   int64(globalMemBytes * cfg.CapacityScale),
 	}
 	if cfg.Algorithm == core.AlgoBMP || cfg.Algorithm == core.AlgoBMPRF {
-		plan.NumBitmaps = cfg.Spec.Cores * cfg.ConcurrentBlocksPerSM()
+		plan.NumBitmaps = archsim.GPU.Cores * cfg.ConcurrentBlocksPerSM()
 		perBitmap, _ := bitmap.MemoryFootprint(uint32(g.NumVertices()), cfg.RangeScale)
 		plan.BitmapBytes = int64(plan.NumBitmaps) * perBitmap
 	}

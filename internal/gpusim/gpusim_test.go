@@ -25,25 +25,67 @@ func randomGraph(t testing.TB, seed int64, n, m int) *graph.CSR {
 	return g
 }
 
+// scaleFor returns the CapacityScale that models globalBytes of global
+// memory.
+func scaleFor(globalBytes int64) float64 {
+	return float64(globalBytes) / globalMemBytes
+}
+
 func TestRunCorrectnessAllAlgorithms(t *testing.T) {
 	g := randomGraph(t, 1, 200, 1500)
 	rg, _ := graph.ReorderByDegree(g)
-	for _, algo := range []core.Algorithm{core.AlgoM, core.AlgoMPS, core.AlgoBMP, core.AlgoBMPRF} {
-		for _, cp := range []bool{false, true} {
-			rep, err := Run(rg, Config{Algorithm: algo, CoProcessing: cp})
+	for name, in := range map[string]*graph.CSR{"random IDs": g, "degree-descending": rg} {
+		for _, algo := range []core.Algorithm{core.AlgoM, core.AlgoMPS, core.AlgoBMP, core.AlgoBMPRF} {
+			for _, cp := range []bool{false, true} {
+				rep, err := Run(in, Config{Algorithm: algo, CoProcessing: cp})
+				if err != nil {
+					t.Fatalf("%s %v cp=%v: %v", name, algo, cp, err)
+				}
+				if err := verify.CheckCounts(in, rep.Counts); err != nil {
+					t.Fatalf("%s %v cp=%v: %v", name, algo, cp, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBitmapTrafficIgnoresVertexOrder checks that the GPU kernels orient
+// edges with core.Owns: on a star whose hub has the largest ID, every
+// bitmap intersection must still probe a leaf's one-element row, so the
+// bitmap kernels move the same bytes as on the degree-descending
+// relabeling, where the hub is vertex 0.
+func TestBitmapTrafficIgnoresVertexOrder(t *testing.T) {
+	const n = 50
+	var edges []graph.Edge
+	for v := 0; v < n-1; v++ {
+		edges = append(edges, graph.Edge{U: n - 1, V: graph.VertexID(v)})
+	}
+	star, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, _ := graph.ReorderByDegree(star)
+	for _, algo := range []core.Algorithm{core.AlgoBMP, core.AlgoBMPRF} {
+		var bytes [2]uint64
+		for i, g := range []*graph.CSR{star, relabeled} {
+			rep, err := Run(g, Config{Algorithm: algo, CoProcessing: true})
 			if err != nil {
-				t.Fatalf("%v cp=%v: %v", algo, cp, err)
+				t.Fatal(err)
 			}
-			if err := verify.CheckCounts(rg, rep.Counts); err != nil {
-				t.Fatalf("%v cp=%v: %v", algo, cp, err)
+			if err := verify.CheckCounts(g, rep.Counts); err != nil {
+				t.Fatalf("%v: %v", algo, err)
 			}
+			bytes[i] = rep.KernelBreakdown.BitmapBytes
+		}
+		if bytes[0] != bytes[1] {
+			t.Errorf("%v: star moves %d bitmap bytes, its relabeling %d", algo, bytes[0], bytes[1])
 		}
 	}
 }
 
 func TestRunMultiPassCorrectness(t *testing.T) {
 	// Splitting the destination range over passes must not change any
-	// count: every u<v edge is processed in exactly one pass.
+	// count: every owned edge is processed in exactly one pass.
 	g := randomGraph(t, 2, 300, 2000)
 	rg, _ := graph.ReorderByDegree(g)
 	want, err := Run(rg, Config{Algorithm: core.AlgoBMP, Passes: 1, CoProcessing: true})
@@ -120,13 +162,13 @@ func TestOccupancyAndBlocks(t *testing.T) {
 func TestPlanPasses(t *testing.T) {
 	g := randomGraph(t, 5, 500, 4000)
 	// Plenty of memory: one pass.
-	plan := PlanPasses(g, Config{Algorithm: core.AlgoMPS, GlobalMemBytes: 1 << 30, ReservedBytes: 1})
+	plan := PlanPasses(g, Config{Algorithm: core.AlgoMPS, CapacityScale: scaleFor(1 << 30)})
 	if plan.Passes != 1 {
 		t.Errorf("roomy plan = %d passes", plan.Passes)
 	}
 	// Tight memory: more passes, and BMP needs more than MPS because of
 	// the bitmap pool.
-	tight := Config{GlobalMemBytes: g.MemoryBytes()/2 + 4096, ReservedBytes: 1024}
+	tight := Config{CapacityScale: scaleFor(g.MemoryBytes()/2 + 4096)}
 	tight.Algorithm = core.AlgoMPS
 	mps := PlanPasses(g, tight)
 	tight.Algorithm = core.AlgoBMP
@@ -141,7 +183,7 @@ func TestPlanPasses(t *testing.T) {
 		t.Errorf("bitmap accounting: mps=%d bmp=%d", mps.BitmapBytes, bmp.BitmapBytes)
 	}
 	// Pool larger than memory: degenerate plan, not a crash.
-	broke := Config{Algorithm: core.AlgoBMP, GlobalMemBytes: 8192, ReservedBytes: 0}
+	broke := Config{Algorithm: core.AlgoBMP, CapacityScale: scaleFor(8192)}
 	if p := PlanPasses(g, broke); p.Passes != g.NumVertices() {
 		t.Errorf("degenerate plan = %d passes", p.Passes)
 	}
@@ -153,11 +195,10 @@ func TestThrashingDetection(t *testing.T) {
 	// bitmap pool, so enough passes can always shrink the hot set back
 	// under the budget.
 	cfg := Config{
-		Algorithm:      core.AlgoMPS,
-		GlobalMemBytes: g.MemoryBytes() / 4,
-		ReservedBytes:  1,
-		Passes:         1,
-		CoProcessing:   true,
+		Algorithm:     core.AlgoMPS,
+		CapacityScale: scaleFor(g.MemoryBytes() / 4),
+		Passes:        1,
+		CoProcessing:  true,
 	}
 	rep, err := Run(g, cfg)
 	if err != nil {

@@ -123,27 +123,15 @@ func Run(g *graph.CSR, cfg Config) (*Report, error) {
 	counts := make([]uint32, numEdges)
 	rep := &Report{Passes: passes, Plan: plan, Occupancy: cfg.Occupancy()}
 
-	hostThreads := sched.Workers(cfg.HostThreads)
+	// GPU counting kernels, one pass per destination-vertex range. Each
+	// edge is computed once, from the row that owns it (core.Owns).
+	work := runKernels(g, counts, cfg, passes)
 
-	// Co-processing phase (Algorithm 4, AssignOffsetsOnCPU): stash the
-	// reverse edge offset into cnt for every u > v edge. On the real system
-	// this overlaps the GPU kernels through concurrent unified-memory
-	// access; here it runs first (the entries are disjoint from the
-	// kernels' u < v entries, so the result is identical). Its modeled time
-	// overlaps the kernels and is reported separately.
-	if cfg.CoProcessing {
-		assignReverseOffsets(g, counts, hostThreads)
-	}
-
-	// GPU counting kernels, one pass per destination-vertex range.
-	work := runKernels(g, counts, cfg, passes, hostThreads)
-
-	// Post-processing on the CPU (Table 5).
-	if cfg.CoProcessing {
-		remapReverseCounts(g, counts, hostThreads)
-	} else {
-		searchReverseCounts(g, counts, hostThreads)
-	}
+	// Post-processing on the CPU (Table 5): the symmetric assignment.
+	// Co-processing changes only when the reverse offsets are found, so
+	// the counts come from one mirror pass either way and the model
+	// charges the two schedules.
+	mirrorCounts(g, counts)
 	rep.AssignTime, rep.PostTime = modelPostTimes(g, cfg)
 
 	rep.Counts = counts
@@ -153,17 +141,18 @@ func Run(g *graph.CSR, cfg Config) (*Report, error) {
 }
 
 // modelPostTimes charges the CPU-side phases on the paper's CPU spec at
-// its full thread count: the reverse-offset binary-search pass (the
-// co-processing assignment, or the whole post phase when co-processing is
-// off) and the cheap final remap pass.
+// its full thread count, one reverse-offset lookup per edge the kernels
+// did not compute: the binary-search pass (the co-processing assignment,
+// or the whole post phase when co-processing is off) and the cheap final
+// remap pass cnt[e] = cnt[cnt[e]].
 func modelPostTimes(g *graph.CSR, cfg Config) (assign, post time.Duration) {
 	var search, remap stats.Work
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
+	n := uint32(g.NumVertices())
+	for u := uint32(0); u < n; u++ {
+		du := g.Degree(u)
 		for e := g.Off[u]; e < g.Off[u+1]; e++ {
 			v := g.Dst[e]
-			if uint32(u) > v {
-				d := g.Degree(v)
+			if d := g.Degree(v); !core.Owns(du, d, u, v) {
 				var steps uint64
 				for ; d > 1; d >>= 1 {
 					steps++
@@ -191,48 +180,21 @@ func modelPostTimes(g *graph.CSR, cfg Config) (assign, post time.Duration) {
 	return 0, searchTime + remapTime
 }
 
-// assignReverseOffsets writes cnt[e(u,v)] = e(v,u) for u > v, in parallel.
-func assignReverseOffsets(g *graph.CSR, counts []uint32, threads int) {
-	sched.Run(int64(g.NumVertices()), sched.DefaultTaskSize, threads, sched.Obs{}, func(_ int, lo, hi int64) {
-		for u := lo; u < hi; u++ {
+// mirrorCounts is the symmetric assignment: every edge the kernels did
+// not compute takes the count of its reverse edge, cnt[e(u,v)] =
+// cnt[e(v,u)], in parallel on the host.
+func mirrorCounts(g *graph.CSR, counts []uint32) {
+	sched.Run(int64(g.NumVertices()), sched.DefaultTaskSize, sched.Workers(0), sched.Obs{}, func(_ int, lo, hi int64) {
+		for ui := lo; ui < hi; ui++ {
+			u := uint32(ui)
+			du := g.Degree(u)
 			for e := g.Off[u]; e < g.Off[u+1]; e++ {
 				v := g.Dst[e]
-				if uint32(u) > v {
-					rev, ok := g.EdgeOffset(v, uint32(u))
-					if ok {
-						counts[e] = uint32(rev)
-					}
+				if core.Owns(du, g.Degree(v), u, v) {
+					continue
 				}
-			}
-		}
-	})
-}
-
-// remapReverseCounts finishes co-processing: cnt[e] = cnt[cnt[e]] for u > v.
-func remapReverseCounts(g *graph.CSR, counts []uint32, threads int) {
-	sched.Run(int64(g.NumVertices()), sched.DefaultTaskSize, threads, sched.Obs{}, func(_ int, lo, hi int64) {
-		for u := lo; u < hi; u++ {
-			for e := g.Off[u]; e < g.Off[u+1]; e++ {
-				if uint32(u) > g.Dst[e] {
-					counts[e] = counts[counts[e]]
-				}
-			}
-		}
-	})
-}
-
-// searchReverseCounts is the non-co-processed post phase: binary search
-// every reverse offset after the kernels complete.
-func searchReverseCounts(g *graph.CSR, counts []uint32, threads int) {
-	sched.Run(int64(g.NumVertices()), sched.DefaultTaskSize, threads, sched.Obs{}, func(_ int, lo, hi int64) {
-		for u := lo; u < hi; u++ {
-			for e := g.Off[u]; e < g.Off[u+1]; e++ {
-				v := g.Dst[e]
-				if uint32(u) > v {
-					rev, ok := g.EdgeOffset(v, uint32(u))
-					if ok {
-						counts[e] = counts[rev]
-					}
+				if rev, ok := g.EdgeOffset(v, u); ok {
+					counts[e] = counts[rev]
 				}
 			}
 		}
@@ -243,7 +205,8 @@ func searchReverseCounts(g *graph.CSR, counts []uint32, threads int) {
 // Thread blocks (one per source vertex) are distributed over host workers;
 // each worker owns one simulated bitmap, standing in for the bitmap its
 // resident thread block acquires from the pool.
-func runKernels(g *graph.CSR, counts []uint32, cfg Config, passes, hostThreads int) gpuWork {
+func runKernels(g *graph.CSR, counts []uint32, cfg Config, passes int) gpuWork {
+	hostThreads := sched.Workers(0)
 	n := g.NumVertices()
 	numV := uint32(n)
 	t := cfg.SkewThreshold
@@ -296,10 +259,11 @@ func blockWork(g *graph.CSR, u uint32, nu []uint32, vLo, vHi uint32,
 	isBMP, useRF bool, numV uint32, worker int,
 	bitmaps []*bitmap.Bitmap, filters []*bitmap.RangeFiltered, poolCAS *atomic.Int64) {
 
+	du := int64(len(nu))
 	built := false
 	for i := g.Off[u]; i < g.Off[u+1]; i++ {
 		v := g.Dst[i]
-		if v < vLo || v >= vHi || u >= v {
+		if !core.Owns(du, g.Degree(v), u, v) || v < vLo || v >= vHi {
 			continue
 		}
 		nv := g.Neighbors(v)
@@ -329,12 +293,12 @@ func blockWork(g *graph.CSR, u uint32, nu []uint32, vLo, vHi uint32,
 				w.globalBytes += uint64(len(nu)) * 36 // N(u) load + scattered atomic-or
 			}
 			if useRF {
-				c = intersect.BitmapRF(filters[worker], nv)
 				// Probes answered by the shared-memory filter cost no
 				// global traffic; survivors load a 32B sector each.
-				survivors := countSurvivors(filters[worker], nv)
+				var rf stats.Work
+				c = intersect.BitmapRFStats(filters[worker], nv, &rf)
 				w.warpInstr += warpIters(len(nv))*3 + 5
-				bytes := uint64(len(nv))*4 + uint64(survivors)*32
+				bytes := uint64(len(nv))*4 + (rf.FilterTests-rf.FilterSkips)*32
 				w.globalBytes += bytes
 				w.kernels.BitmapEdges++
 				w.kernels.BitmapBytes += bytes
@@ -349,11 +313,13 @@ func blockWork(g *graph.CSR, u uint32, nu []uint32, vLo, vHi uint32,
 
 		case cfg.Algorithm == core.AlgoMPS && intersect.Skewed(len(nu), len(nv), t):
 			// PSKernel: one thread per edge; the irregular searches
-			// diverge, so ops are charged on the divergent path.
-			var ps psWork
-			c = pivotSkipCounted(nu, nv, &ps)
-			w.divergentOps += ps.ops
-			bytes := uint64(len(nv))*4 + ps.gathers*32
+			// diverge, so each executed lower-bound stage and comparison
+			// is charged on the divergent path, and each random access
+			// gathers a 32B sector.
+			var ps stats.Work
+			c = intersect.PivotSkipStats(nu, nv, &ps)
+			w.divergentOps += ps.ScalarOps()
+			bytes := uint64(len(nv))*4 + ps.RandomAccesses*32
 			w.globalBytes += bytes
 			w.kernels.PSEdges++
 			w.kernels.PSBytes += bytes
@@ -388,67 +354,15 @@ func blockWork(g *graph.CSR, u uint32, nu []uint32, vLo, vHi uint32,
 	}
 }
 
-// countSurvivors reports how many probes of nv pass the range filter.
-func countSurvivors(rf *bitmap.RangeFiltered, nv []uint32) int {
-	s := 0
-	for _, v := range nv {
-		if _, filtered := rf.TestCounted(v); !filtered {
-			s++
-		}
-	}
-	return s
-}
-
 // warpIters returns how many warp-wide iterations cover k elements.
 func warpIters(k int) uint64 {
 	return uint64((k + WarpSize - 1) / WarpSize)
 }
 
-// psWork tallies the divergent pivot-skip kernel's operations.
-type psWork struct {
-	ops     uint64
-	gathers uint64
-}
-
-// pivotSkipCounted mirrors intersect.PivotSkip while counting operations
-// and irregular gathers for the GPU cost model.
-func pivotSkipCounted(a, b []uint32, w *psWork) uint32 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var c uint32
-	offA, offB := 0, 0
-	for {
-		stepA := intersect.LowerBound(a[offA:], b[offB])
-		w.ops += 18 // vectorless linear+gallop+binary sequence on one thread
-		w.gathers += 3
-		offA += stepA
-		if offA >= len(a) {
-			return c
-		}
-		stepB := intersect.LowerBound(b[offB:], a[offA])
-		w.ops += 18
-		w.gathers += 3
-		offB += stepB
-		if offB >= len(b) {
-			return c
-		}
-		w.ops++
-		if a[offA] == b[offB] {
-			c++
-			offA++
-			offB++
-			if offA >= len(a) || offB >= len(b) {
-				return c
-			}
-		}
-	}
-}
-
 // modelTimes converts the tallied work into modeled kernel, swap and total
 // times.
 func modelTimes(rep *Report, w *gpuWork, cfg Config, g *graph.CSR, passes int) {
-	spec := cfg.Spec
+	spec := archsim.GPU
 
 	// Compute: coherent warp instructions issue at spec.IPC per SM-cycle,
 	// derated by occupancy-driven latency hiding; divergent thread ops
@@ -483,7 +397,7 @@ func modelTimes(rep *Report, w *gpuWork, cfg Config, g *graph.CSR, passes int) {
 	// exceeds what global memory has left after the bitmap pool and the
 	// reservation, on-demand migration thrashes: a fraction of every
 	// destination-list access faults.
-	avail := cfg.GlobalMemBytes - rep.Plan.BitmapBytes - cfg.ReservedBytes
+	avail := rep.Plan.GlobalBytes - rep.Plan.BitmapBytes - rep.Plan.ReservedBytes
 	csr := float64(rep.Plan.CSRBytes)
 	cnt := float64(rep.Plan.CountBytes)
 

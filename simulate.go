@@ -123,11 +123,9 @@ type SimResult struct {
 
 // Simulate runs the algorithm with instrumentation and models its elapsed
 // time on one of the paper's processors. The counts are computed exactly on
-// the host; only the timing is modeled. The CPU and KNL models run core's
-// edge loop, which orients each edge by degree, so BMP has its
-// O(min(d_u, d_v)) bound on any vertex order. The GPU model's own loop
-// computes the u < v edges, so for the GPU's bitmap algorithms pass a
-// degree-descending graph (ReorderByDegree) as the paper does.
+// the host; only the timing is modeled. Every processor's model orients
+// each edge by degree, as core's edge loop does, so BMP has its
+// O(min(d_u, d_v)) bound on any vertex order.
 func Simulate(g *Graph, opts SimOptions) (*SimResult, error) {
 	capScale := opts.CapacityScale
 	if capScale <= 0 {
